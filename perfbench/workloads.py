@@ -109,7 +109,7 @@ def _cover_check(rng: random.Random) -> dict:
     return {"files": files, "warmup": list(warm.values()), "round": items}
 
 
-def _integer_functional(rng: random.Random, n: int) -> tuple[list, list[int]]:
+def _integer_functional(rng: random.Random, n: int) -> list[list[int]]:
     """W with columns orthogonal to a few random null events, W^T 1 != 0."""
     while True:
         nulls = _random_family(rng, n, rng.randint(1, 3))
@@ -119,7 +119,7 @@ def _integer_functional(rng: random.Random, n: int) -> tuple[list, list[int]]:
         w = [[sum(c[j] * vec[h] for c, vec in zip(coef, basis))
               for j in range(PRECLUSION_RANK)] for h in range(n)]
         if any(sum(row[j] for row in w) for j in range(PRECLUSION_RANK)):
-            return w, nulls
+            return w
 
 
 def _functional_json(n: int, w: list, scale: float) -> dict:
@@ -138,7 +138,7 @@ def scaled_functional() -> tuple[int, list]:
     rng = random.Random("preclusion:scaled")
     n = PRECLUSION_SIZES[-1]
     while True:
-        w, _ = _integer_functional(rng, n)
+        w = _integer_functional(rng, n)
         if max(oracle.measure_table(w)) * 2.0 ** SCALE_EXPONENT <= 1e-9:
             return n, w
 
@@ -146,7 +146,7 @@ def scaled_functional() -> tuple[int, list]:
 def _preclusion(rng: random.Random) -> dict:
     files = {}
     items = []
-    specs = [(n, _integer_functional(rng, n)[0], False)
+    specs = [(n, _integer_functional(rng, n), False)
              for n in PRECLUSION_SIZES for _ in range(PRECLUSION_PER_N)]
     specs += [(*scaled_functional(), True)] * PRECLUSION_SCALED
     for n, w, scaled in specs:
