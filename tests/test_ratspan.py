@@ -1,5 +1,9 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from qcover import HistorySpace, enumerate_inextendible
 from qcover.ratspan import in_span, span_solve
 
 
@@ -36,3 +40,111 @@ def test_exactness_against_float_noise():
     masks = [1 << i for i in range(12)]
     assert span_solve(12, masks[:-1], (1 << 12) - 1) is None
     assert span_solve(12, masks, (1 << 12) - 1) == [Fraction(1)] * 12
+
+
+def fraction_reference(n, member_masks, target_mask):
+    """Gauss-Jordan over Fraction: the textbook solver the kernel must match."""
+    m = len(member_masks)
+    rows = [
+        [Fraction((mask >> bit) & 1) for mask in member_masks]
+        + [Fraction((target_mask >> bit) & 1)]
+        for bit in range(n)
+    ]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pivot_row = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == n:
+            break
+    if any(rows[i][m] != 0 for i in range(r, n)):
+        return None
+    coeffs = [Fraction(0)] * m
+    for pr, pc in pivots:
+        coeffs[pc] = rows[pr][m]
+    return coeffs
+
+
+def reconstructs(n, member_masks, target_mask, coeffs):
+    return all(
+        sum(c for c, mask in zip(coeffs, member_masks) if (mask >> bit) & 1)
+        == (target_mask >> bit) & 1
+        for bit in range(n)
+    )
+
+
+def random_family(rng, n):
+    """Members plus a target: random members, redundant members that are
+    sums of disjoint earlier ones, and a target that may lie outside."""
+    full = (1 << n) - 1
+    members = [rng.randint(1, full) for _ in range(rng.randint(1, n + 3))]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(members), rng.choice(members)
+        if a & b == 0:
+            members.insert(rng.randint(0, len(members)), a | b)
+        else:
+            # a repeated member
+            members.insert(rng.randint(0, len(members)), a)
+    choice = rng.randrange(3)
+    if choice == 0:
+        target = full
+    elif choice == 1:
+        target = rng.randint(0, full)
+    else:
+        # a union of disjoint members, so inside the span
+        target = 0
+        for mask in members:
+            if target & mask == 0 and rng.random() < 0.5:
+                target |= mask
+    return members, target
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_matches_fraction_reference_on_random_families(n):
+    rng = random.Random(f"ratspan:{n}")
+    outcomes = set()
+    for _ in range(150):
+        members, target = random_family(rng, n)
+        got = span_solve(n, members, target)
+        assert got == fraction_reference(n, members, target), (members, target)
+        outcomes.add(got is None)
+        if got is not None:
+            assert all(type(c) is Fraction for c in got)
+            assert reconstructs(n, members, target, got)
+    if n > 1:
+        assert outcomes == {True, False}
+
+
+def test_exhaustive_inextendible_antichains_reconstruct_omega():
+    for n in range(1, 6):
+        space = HistorySpace(n)
+        for ac in enumerate_inextendible(space, n_limit=n):
+            coeffs = span_solve(n, list(ac.masks), space.full_mask)
+            assert coeffs is not None
+            assert reconstructs(n, ac.masks, space.full_mask, coeffs)
+
+
+def test_agrees_with_sympy_rank_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("ratspan:sympy")
+    for n in range(1, 9):
+        for _ in range(25):
+            members, target = random_family(rng, n)
+            cols = [[(mask >> bit) & 1 for bit in range(n)] for mask in members]
+            a = sympy.Matrix(cols).T
+            aug = a.row_join(sympy.Matrix([(target >> bit) & 1 for bit in range(n)]))
+            in_span_oracle = a.rank() == aug.rank()
+            got = span_solve(n, members, target)
+            assert (got is not None) == in_span_oracle, (members, target)
+            if got is not None:
+                assert a * sympy.Matrix(got) == aug[:, -1]
