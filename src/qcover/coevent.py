@@ -8,19 +8,23 @@ non-precluded events are exactly the supports of primitive preclusive
 coevents.  Joining those supports with the maximal events that contain
 none of them yields an inextendible antichain whose down-closure soaks
 up every zero-measure event.
+
+Every pass works on flag arrays indexed by mask: marking, the minimal
+and maximal selections and the closures each take one OR zeta transform
+over the subset lattice (``histories.subset_closure``).  Exact mode reads
+the real entries as dyadic rationals over one common power-of-two
+denominator and sums them as integers, O(2^n) additions per functional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .antichain import Antichain, _antichain_unchecked, is_inextendible
 from .errors import ConsistencyError, NoCoeventError, ResourceLimitError
-from .histories import Event, HistorySpace
+from .histories import Event, subset_closure
 from .measure import TOL_PSD, TOL_ZERO, DecoherenceFunctional, mu, mu_table
 
 COEVENT_MAX_N = 12
@@ -55,28 +59,43 @@ class PreclusionStructure:
         }
 
 
-def _float_zero_masks(d: DecoherenceFunctional, tol_zero: float) -> tuple[int, ...]:
-    table = mu_table(d)
-    hits = np.nonzero(table <= tol_zero)[0]
-    return tuple(int(m) for m in hits if m != 0)
+def _zero_flags(d: DecoherenceFunctional, tol_zero: float, exact: bool) -> np.ndarray:
+    # zero[m] flags the nonempty events of measure zero
+    zero = _exact_zero_flags(d) if exact else mu_table(d) <= tol_zero
+    zero[0] = False
+    return zero
 
 
-def _exact_zero_masks(d: DecoherenceFunctional) -> tuple[int, ...]:
-    # Entries are exact dyadic rationals of their floats; the imaginary
-    # parts cancel pairwise under Hermiticity, so only the real parts sum.
-    n = d.n
-    re = [[Fraction(float(x)) for x in row] for row in d.entries.real]
-    out = []
-    for m in range(1, 1 << n):
-        idx = [i for i in range(n) if (m >> i) & 1]
-        total = Fraction(0)
-        for i in idx:
-            row = re[i]
-            for j in idx:
-                total += row[j]
-        if total == 0:
-            out.append(m)
-    return tuple(out)
+def _exact_zero_flags(d: DecoherenceFunctional) -> np.ndarray:
+    # Each real entry is an exact dyadic rational p/q of its float; over
+    # the common denominator they become ints N, and mu vanishes exactly
+    # when the integer sum does.  The imaginary parts cancel pairwise
+    # under Hermiticity, so only the real parts sum.  The one-bit
+    # recurrence mu(A + h) = mu(A) + N_hh + sum_{j in A} (N_hj + N_jh),
+    # for A below bit h, fills all 2^n sums in O(2^n) int additions.
+    ratios = [[x.as_integer_ratio() for x in row] for row in d.entries.real.tolist()]
+    den = max(q for row in ratios for _, q in row)
+    ints = [[p * (den // q) for p, q in row] for row in ratios]
+    total = [0]
+    for h, row in enumerate(ints):
+        cross = [0]
+        for j in range(h):
+            pair = row[j] + ints[j][h]
+            cross += [c + pair for c in cross]
+        diag = row[h]
+        total += [t + diag + c for t, c in zip(total, cross)]
+    return np.fromiter((t == 0 for t in total), dtype=bool, count=len(total))
+
+
+def _check_size(d: DecoherenceFunctional, what: str) -> None:
+    if d.n > COEVENT_MAX_N:
+        raise ResourceLimitError(
+            f"{what} is limited to n <= {COEVENT_MAX_N}, got {d.n}"
+        )
+
+
+def _masks(flags: np.ndarray) -> list[int]:
+    return np.flatnonzero(flags).tolist()
 
 
 def zero_sets(
@@ -84,64 +103,39 @@ def zero_sets(
 ) -> frozenset[Event]:
     """All nonempty events of measure zero.
 
-    With ``exact=True`` the entries are read as exact dyadic rationals
-    and an event counts only when its measure vanishes identically;
-    otherwise any measure at most ``tol_zero`` counts.
+    With ``exact=True`` the entries are read as exact dyadic rationals,
+    rescaled to integers over one common power-of-two denominator, and
+    an event counts only when its integer measure vanishes; that takes
+    O(2^n) integer additions.  Otherwise any measure at most
+    ``tol_zero`` counts.
     """
-    if d.n > COEVENT_MAX_N:
-        raise ResourceLimitError(
-            f"zero-set enumeration is limited to n <= {COEVENT_MAX_N}, got {d.n}"
-        )
-    masks = _exact_zero_masks(d) if exact else _float_zero_masks(d, tol_zero)
-    space = d.space
-    return frozenset(space.event_from_mask(m) for m in masks)
+    _check_size(d, "zero-set enumeration")
+    zero = _zero_flags(d, tol_zero, exact)
+    return frozenset(d.space.event_from_mask(m) for m in _masks(zero))
 
 
-def _preclusion_masks(
+def _preclusion_flags(
     d: DecoherenceFunctional, tol_zero: float, exact: bool
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
-    """Zero masks, minimal unmarked masks, the precluded flag array, and
-    the up-closure flag array of the supports."""
-    n = d.n
-    if n > COEVENT_MAX_N:
-        raise ResourceLimitError(
-            f"preclusion analysis is limited to n <= {COEVENT_MAX_N}, got {n}"
-        )
-    zs = _exact_zero_masks(d) if exact else _float_zero_masks(d, tol_zero)
-    size = 1 << n
-    all_masks = np.arange(size, dtype=np.uint32)
-    marked = np.zeros(size, dtype=bool)
-    for z in zs:
-        marked |= (all_masks & ~np.uint32(z)) == 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flag arrays over all masks: the zero sets, the minimal unmarked
+    events (the supports) and the up-closure of the supports."""
+    _check_size(d, "preclusion analysis")
+    zero = _zero_flags(d, tol_zero, exact)
+    marked = subset_closure(zero, "down")
     marked[0] = True
-    if marked[size - 1]:
+    if marked[-1]:
         raise NoCoeventError(
             "the whole space is precluded; no coevent support exists"
         )
     # minimal unmarked events: unmarked with every proper submask marked
-    has_unmarked_sub = bytearray(size)
-    minimal = []
-    for m in range(1, size):
-        h = 0
-        mm = m
-        while mm:
-            b = mm & -mm
-            sub = m ^ b
-            if (not marked[sub]) or has_unmarked_sub[sub]:
-                h = 1
-                break
-            mm ^= b
-        has_unmarked_sub[m] = h
-        if not marked[m] and not h:
-            minimal.append(m)
-    in_up = np.zeros(size, dtype=bool)
-    for a in minimal:
-        in_up |= (all_masks & np.uint32(a)) == a
-    if not np.array_equal(~marked[1:], in_up[1:]):
+    free = ~marked
+    minimal = free & ~subset_closure(free, "up", strict=True)
+    in_up = subset_closure(minimal, "up")
+    if not np.array_equal(free[1:], in_up[1:]):
         raise ConsistencyError(
             "non-precluded events do not match the supports' up-closure"
         )
-    return zs, tuple(minimal), marked, in_up
+    return zero, minimal, in_up
 
 
 def ppc_supports(
@@ -153,31 +147,13 @@ def ppc_supports(
     coevents.  Raises a no-coevent error when the whole space itself has
     measure zero, since then everything is precluded.
     """
-    _, minimal, _, _ = _preclusion_masks(d, tol_zero, exact)
-    space = d.space
-    return _antichain_unchecked(space, tuple(minimal))
+    _, minimal, _ = _preclusion_flags(d, tol_zero, exact)
+    return _antichain_unchecked(d.space, _masks(minimal))
 
 
-def _maximal_selected(size: int, sel: np.ndarray) -> list[int]:
-    # ascending masks of the selected events with no selected proper superset
-    full = size - 1
-    has_sel_super = bytearray(size)
-    out = []
-    for m in range(full, 0, -1):
-        h = 0
-        rest = full ^ m
-        while rest:
-            b = rest & -rest
-            sup = m | b
-            if sel[sup] or has_sel_super[sup]:
-                h = 1
-                break
-            rest ^= b
-        has_sel_super[m] = h
-        if sel[m] and not h:
-            out.append(m)
-    out.reverse()
-    return out
+def _maximal(sel: np.ndarray) -> np.ndarray:
+    # the selected events with no selected proper superset
+    return sel & ~subset_closure(sel, "down", strict=True)
 
 
 def derived_antichain(
@@ -191,67 +167,48 @@ def derived_antichain(
     verified inextendible, and every zero set is verified to lie under
     some derived element.  Any failed check raises a consistency error.
     """
-    zs, minimal, marked, in_up = _preclusion_masks(d, tol_zero, exact)
+    zero, minimal, in_up = _preclusion_flags(d, tol_zero, exact)
     space = d.space
-    n = space.n
-    size = 1 << n
-    support_set = set(minimal)
-    zero_set = set(zs)
-
-    sel = ~in_up
-    sel[0] = False
-    for a in minimal:
-        sel[a] = True
-    a_prime = _maximal_selected(size, sel)
 
     sel_off = ~in_up
     sel_off[0] = False
-    m_prime = set(_maximal_selected(size, sel_off))
+    m_prime = _maximal(sel_off)
+    a_prime = _maximal(sel_off | minimal)
 
-    a_prime_set = set(a_prime)
-    if not support_set <= a_prime_set:
+    if (minimal & ~a_prime).any():
         raise ConsistencyError("a support fell out of the derived antichain")
-    m_part = [m for m in a_prime if m not in support_set]
-    for m in m_part:
-        if m not in zero_set:
-            raise ConsistencyError("an adjoined event is not a zero set")
-    if not set(m_part) <= m_prime:
+    m_part = a_prime & ~minimal
+    if (m_part & ~zero).any():
+        raise ConsistencyError("an adjoined event is not a zero set")
+    if (m_part & ~m_prime).any():
         raise ConsistencyError(
             "adjoined events are not maximal among support-free events"
         )
-    for m in m_prime - set(m_part):
-        if not any(m & ~a == 0 for a in minimal):
-            raise ConsistencyError(
-                "a maximal support-free event neither joined the antichain"
-                " nor sits under a support"
-            )
-    for z in zs:
-        if not any(z & ~a == 0 for a in a_prime):
-            raise ConsistencyError("a zero set escapes the derived down-closure")
+    if (m_prime & ~m_part & ~subset_closure(minimal, "down")).any():
+        raise ConsistencyError(
+            "a maximal support-free event neither joined the antichain"
+            " nor sits under a support"
+        )
+    in_down = subset_closure(a_prime, "down")
+    if (zero & ~in_down).any():
+        raise ConsistencyError("a zero set escapes the derived down-closure")
 
-    derived = _antichain_unchecked(space, tuple(a_prime))
+    derived = _antichain_unchecked(space, _masks(a_prime))
     ok, _ = is_inextendible(derived)
     if not ok:
         raise ConsistencyError("the derived antichain is not inextendible")
 
     # chain property: every unprecluded event sits above a support, and
     # every other positive-measure event sits under a derived element
-    all_masks = np.arange(size, dtype=np.uint32)
-    in_down = np.zeros(size, dtype=bool)
-    for a in a_prime:
-        in_down |= (all_masks & ~np.uint32(a)) == 0
-    zero_flag = np.zeros(size, dtype=bool)
-    for z in zs:
-        zero_flag[z] = True
-    covered = in_up | in_down | zero_flag
+    covered = in_up | in_down | zero
     if not covered[1:].all():
         raise ConsistencyError("a positive-measure event escapes the chain split")
 
     return PreclusionStructure(
-        zero_sets=frozenset(space.event_from_mask(z) for z in zs),
-        ppc_supports=_antichain_unchecked(space, tuple(minimal)),
+        zero_sets=frozenset(space.event_from_mask(z) for z in _masks(zero)),
+        ppc_supports=_antichain_unchecked(space, _masks(minimal)),
         derived=derived,
-        m_part=frozenset(space.event_from_mask(m) for m in m_part),
+        m_part=frozenset(space.event_from_mask(m) for m in _masks(m_part)),
     )
 
 

@@ -370,20 +370,15 @@ def indicator_level_identity(n: int) -> bool:
     """
     if not 1 <= n <= 24:
         raise ValueError("n must be between 1 and 24")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    cards = np.bitwise_count(masks).astype(np.int64)
+    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
     level_counts = np.bincount(cards, minlength=n + 1)
     for k in range(n + 1):
         if int(level_counts[k]) != math.comb(n, k):
             return False
-    scratch = np.empty(size, dtype=np.uint32)
-    weights = np.empty(size, dtype=np.float64)
     for i in range(n):
-        np.right_shift(masks, np.uint32(i), out=scratch)
-        np.bitwise_and(scratch, np.uint32(1), out=scratch)
-        np.copyto(weights, scratch, casting="unsafe")
-        per_level = np.bincount(cards, weights=weights, minlength=n + 1)
+        # the masks with bit i set, as a strided view of the popcounts
+        with_bit = cards.reshape(-1, 2, 1 << i)[:, 1, :]
+        per_level = np.bincount(with_bit.ravel(), minlength=n + 1)
         for k in range(1, n + 1):
             if int(per_level[k]) != math.comb(n - 1, k - 1):
                 return False

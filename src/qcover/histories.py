@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ResourceLimitError, SpaceMismatchError
 
 MAX_HISTORIES = 24
@@ -211,11 +213,41 @@ def shadow(space: HistorySpace, a: Event, k: int) -> list[Event]:
     return [Event(m, space) for m in sorted(masks)]
 
 
-def _submasks_nonempty(mask: int) -> Iterator[int]:
-    s = mask
-    while s:
-        yield s
-        s = (s - 1) & mask
+def subset_closure(
+    flags: np.ndarray, direction: str, *, strict: bool = False
+) -> np.ndarray:
+    """Close a flag array indexed by mask upward or downward.
+
+    ``flags`` has one entry per event of an n-history space (length 2^n).
+    With ``"up"`` an event comes out flagged when some flagged event lies
+    inside it, with ``"down"`` when some flagged event contains it.  This
+    is the OR zeta transform over the subset lattice: one pass per bit,
+    O(n 2^n) in all.  With ``strict=True`` only proper subsets (or
+    supersets) count, so ``flags & ~subset_closure(flags, "up",
+    strict=True)`` selects the minimal flagged events and ``"down"`` the
+    maximal ones.
+    """
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    n = flags.size.bit_length() - 1
+    if flags.size != 1 << n:
+        raise ValueError(f"flag array length {flags.size} is not a power of two")
+    src, dst = (0, 1) if direction == "up" else (1, 0)
+
+    def spread(into: np.ndarray, frm: np.ndarray) -> None:
+        # for every bit, pass each entry of frm on to its neighbour in into
+        # that has the bit set ("up") or cleared ("down")
+        for i in range(n):
+            shape = (-1, 2, 1 << i)
+            into.reshape(shape)[:, dst, :] |= frm.reshape(shape)[:, src, :]
+
+    out = np.array(flags, dtype=bool)
+    spread(out, out)
+    if not strict:
+        return out
+    proper = np.zeros_like(out)
+    spread(proper, out)
+    return proper
 
 
 def closure(
@@ -235,17 +267,13 @@ def closure(
     seeds = list(events)
     if not seeds:
         raise ValueError("closure needs at least one event")
-    out: set[int] = set()
+    flags = np.zeros(1 << space.n, dtype=bool)
     for e in seeds:
         if e.space != space:
             raise SpaceMismatchError("event does not belong to the given space")
         if e.mask == 0:
             raise ValueError("closure is defined over nonempty events")
-        if direction == "down":
-            out.update(_submasks_nonempty(e.mask))
-        else:
-            rest = space.full_mask & ~e.mask
-            out.add(e.mask)
-            for s in _submasks_nonempty(rest):
-                out.add(e.mask | s)
-    return {Event(m, space) for m in out}
+        flags[e.mask] = True
+    closed = subset_closure(flags, direction)
+    closed[0] = False
+    return {Event(m, space) for m in np.flatnonzero(closed).tolist()}

@@ -31,3 +31,21 @@ def d3():
 def diag4():
     """Uniform classical functional on four histories."""
     return DecoherenceFunctional(np.diag([0.25, 0.25, 0.25, 0.25]))
+
+
+def _strip_volatile(obj):
+    if isinstance(obj, dict):
+        return {
+            k: _strip_volatile(v)
+            for k, v in obj.items()
+            if k not in {"timestamp", "elapsed_ms"}
+        }
+    if isinstance(obj, list):
+        return [_strip_volatile(v) for v in obj]
+    return obj
+
+
+@pytest.fixture
+def strip_volatile():
+    """Drop the fields that legitimately differ between identical runs."""
+    return _strip_volatile

@@ -272,27 +272,15 @@ class TestLevelSums:
         assert count == 100
 
 
-def strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {
-            k: strip_volatile(v)
-            for k, v in obj.items()
-            if k not in {"timestamp", "elapsed_ms"}
-        }
-    if isinstance(obj, list):
-        return [strip_volatile(v) for v in obj]
-    return obj
-
-
 class TestCliDeterminism:
-    def run_twice(self, capsys, argv):
-        outs = []
-        for _ in range(2):
-            assert cli.main(list(argv)) == 0
-            outs.append(strip_volatile(json.loads(capsys.readouterr().out)))
-        assert outs[0] == outs[1]
+    def test_all_subcommands(self, capsys, tmp_path, strip_volatile):
+        def run_twice(argv):
+            outs = []
+            for _ in range(2):
+                assert cli.main(list(argv)) == 0
+                outs.append(strip_volatile(json.loads(capsys.readouterr().out)))
+            assert outs[0] == outs[1]
 
-    def test_all_subcommands(self, capsys, tmp_path):
         v = [1 / math.sqrt(3), -1 / math.sqrt(3), 1 / math.sqrt(3)]
         entries = [[[v[i] * v[j], 0.0] for j in range(3)] for i in range(3)]
         dpath = tmp_path / "d.json"
@@ -300,17 +288,13 @@ class TestCliDeterminism:
         apath = tmp_path / "ac.json"
         apath.write_text(json.dumps({"n": 3, "elements": [[1, 2], [2, 3]]}))
 
-        self.run_twice(capsys, ["identities", "--n", "4", "--samples", "25",
-                                "--seed", "9"])
-        self.run_twice(capsys, ["validate", "--dmatrix", str(dpath)])
-        self.run_twice(capsys, ["measure", "--dmatrix", str(dpath),
-                                "--antichain", str(apath)])
-        self.run_twice(capsys, ["cover-check", "--antichain", str(apath)])
-        self.run_twice(capsys, ["scan", "--n", "4", "--workers", "2"])
-        self.run_twice(capsys, ["coevents", "--dmatrix", str(dpath)])
-        self.run_twice(capsys, ["antichain", "enumerate", "--n", "4"])
-        self.run_twice(capsys, ["antichain", "generate", "straddle",
-                                "--n", "6", "--k", "3"])
-        self.run_twice(capsys, ["pks", "search"])
-        self.run_twice(capsys, ["pks", "sample", "--samples", "2000",
-                                "--seed", "3"])
+        run_twice(["identities", "--n", "4", "--samples", "25", "--seed", "9"])
+        run_twice(["validate", "--dmatrix", str(dpath)])
+        run_twice(["measure", "--dmatrix", str(dpath), "--antichain", str(apath)])
+        run_twice(["cover-check", "--antichain", str(apath)])
+        run_twice(["scan", "--n", "4", "--workers", "2"])
+        run_twice(["coevents", "--dmatrix", str(dpath)])
+        run_twice(["antichain", "enumerate", "--n", "4"])
+        run_twice(["antichain", "generate", "straddle", "--n", "6", "--k", "3"])
+        run_twice(["pks", "search"])
+        run_twice(["pks", "sample", "--samples", "2000", "--seed", "3"])

@@ -14,19 +14,6 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
-def strip_volatile(obj):
-    """Drop the fields that legitimately differ between identical runs."""
-    if isinstance(obj, dict):
-        return {
-            k: strip_volatile(v)
-            for k, v in obj.items()
-            if k not in {"timestamp", "elapsed_ms"}
-        }
-    if isinstance(obj, list):
-        return [strip_volatile(v) for v in obj]
-    return obj
-
-
 @pytest.fixture()
 def d3_path(tmp_path):
     v = [1 / math.sqrt(3), -1 / math.sqrt(3), 1 / math.sqrt(3)]
@@ -239,19 +226,19 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_scan_repeatable(self, capsys):
+    def test_scan_repeatable(self, capsys, strip_volatile):
         _, a = run(capsys, "scan", "--n", "4", "--workers", "1")
         _, b = run(capsys, "scan", "--n", "4", "--workers", "1")
         assert strip_volatile(a) == strip_volatile(b)
 
-    def test_identities_repeatable(self, capsys):
+    def test_identities_repeatable(self, capsys, strip_volatile):
         _, a = run(capsys, "identities", "--n", "5", "--samples", "20",
                    "--seed", "11")
         _, b = run(capsys, "identities", "--n", "5", "--samples", "20",
                    "--seed", "11")
         assert strip_volatile(a) == strip_volatile(b)
 
-    def test_search_repeatable(self, capsys):
+    def test_search_repeatable(self, capsys, strip_volatile):
         _, a = run(capsys, "pks", "search")
         _, b = run(capsys, "pks", "search")
         assert strip_volatile(a) == strip_volatile(b)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,50 @@ from qcover import (
     sample_spd,
     zero_sets,
 )
+from qcover.histories import subset_closure
 
 
 def labelsets(events):
     return sorted(sorted(e.labels) for e in events)
+
+
+def fraction_zero_masks(d):
+    """Reference: the nonempty masks whose double sum of real entries,
+    read as exact fractions, vanishes."""
+    re = [[Fraction(x) for x in row] for row in d.entries.real.tolist()]
+    out = set()
+    for m in range(1, 1 << d.n):
+        idx = [i for i in range(d.n) if m >> i & 1]
+        if sum(re[i][j] for i in idx for j in idx) == 0:
+            out.add(m)
+    return out
+
+
+def integer_w(rng, n, rank=2):
+    """Small integer W with rows summing to zero over one or two random
+    events, so D = W W^T has zero sets, and mu(Omega) > 0."""
+    while True:
+        w = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+        for _ in range(rng.randint(1, 2)):
+            members = rng.sample(range(n), rng.randint(2, max(2, n - 1)))
+            w[members[-1]] = [-sum(w[i][c] for i in members[:-1])
+                              for c in range(rank)]
+        if any(sum(row[c] for row in w) for c in range(rank)):
+            return np.array(w, dtype=float)
+
+
+def brute_closure(flags, direction, strict):
+    size = len(flags)
+    out = np.zeros(size, dtype=bool)
+    for m in range(size):
+        for s in range(size):
+            if not flags[s] or (strict and s == m):
+                continue
+            inside = s & m == s if direction == "up" else s & m == m
+            if inside:
+                out[m] = True
+                break
+    return out
 
 
 class TestZeroSets:
@@ -49,6 +92,65 @@ class TestZeroSets:
         d = sample_spd(13, rank=4, seed=0)
         with pytest.raises(ResourceLimitError):
             zero_sets(d)
+
+    def test_exact_mode_matches_fraction_reference(self):
+        # dyadic scales far below and above the float tolerance, and real
+        # parts made asymmetric by 2^-45 (relative) within tol_herm
+        rng = random.Random(2024)
+        found = 0
+        for n in range(3, 11):
+            w = integer_w(rng, n, rank=rng.randint(1, 3))
+            for scale_exp in (-60, -40, -12, 0, 17, 40):
+                for asym in (False, True):
+                    entries = w @ w.T * 2.0**scale_exp
+                    if asym:
+                        i, j = rng.sample(range(n), 2)
+                        entries[i, j] += 2.0**-45 * 2.0**scale_exp
+                    d = DecoherenceFunctional(entries)
+                    got = {e.mask for e in zero_sets(d, exact=True)}
+                    assert got == fraction_zero_masks(d), (n, scale_exp, asym)
+                    found += len(got)
+        assert found > 0
+
+
+class TestSubsetClosure:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(7)
+        for n in range(0, 9):
+            for density in (0.05, 0.3, 0.8):
+                flags = rng.random(1 << n) < density
+                for direction in ("up", "down"):
+                    for strict in (False, True):
+                        got = subset_closure(flags, direction, strict=strict)
+                        assert np.array_equal(
+                            got, brute_closure(flags, direction, strict)
+                        ), (n, density, direction, strict)
+
+    def test_minimal_and_maximal_selection(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            size = 1 << n
+            flags = rng.random(size) < 0.3
+            minimal = flags & ~subset_closure(flags, "up", strict=True)
+            maximal = flags & ~subset_closure(flags, "down", strict=True)
+            sel = np.flatnonzero(flags).tolist()
+            want_min = [m for m in sel
+                        if not any(s != m and s & m == s for s in sel)]
+            want_max = [m for m in sel
+                        if not any(s != m and s & m == m for s in sel)]
+            assert np.flatnonzero(minimal).tolist() == want_min
+            assert np.flatnonzero(maximal).tolist() == want_max
+
+    def test_input_is_not_modified(self):
+        flags = np.array([False, True, False, False])
+        subset_closure(flags, "up")
+        assert flags.tolist() == [False, True, False, False]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            subset_closure(np.zeros(4, dtype=bool), "sideways")
+        with pytest.raises(ValueError):
+            subset_closure(np.zeros(6, dtype=bool), "up")
 
 
 class TestSupports:
@@ -114,6 +216,22 @@ class TestDerived:
                 assert ok
                 for m in ps.m_part:
                     assert mu(d, m) <= 1e-9
+
+    def test_exact_structure_survives_dyadic_scaling(self):
+        # scaling by 2^-40 is exact in binary, so the exact structure must
+        # not move; on integer functionals the float path agrees as well
+        rng = random.Random(40)
+        found = 0
+        for n in (4, 7, 10, 12):
+            for _ in range(3):
+                w = integer_w(rng, n, rank=3)
+                d = DecoherenceFunctional(w @ w.T)
+                scaled = DecoherenceFunctional(w @ w.T * 2.0**-40)
+                ps = derived_antichain(d, exact=True).to_json()
+                assert derived_antichain(scaled, exact=True).to_json() == ps
+                assert derived_antichain(d).to_json() == ps
+                found += len(ps["zero_sets"])
+        assert found > 0
 
     def test_json_shape(self, d3):
         data = derived_antichain(d3).to_json()

@@ -1,9 +1,18 @@
 import math
+import random
 
 import pytest
 
-from qcover import Event, HistorySpace, SpaceMismatchError, closure, level_elements, shadow
-from qcover.histories import MAX_HISTORIES
+from qcover import (
+    Event,
+    HistorySpace,
+    ResourceLimitError,
+    SpaceMismatchError,
+    closure,
+    level_elements,
+    shadow,
+)
+from qcover.histories import CLOSURE_MAX_N, MAX_HISTORIES
 
 
 class TestHistorySpace:
@@ -107,3 +116,30 @@ class TestLattice:
         assert {x.labels for x in down} == {(1,), (3,), (1, 3)}
         with pytest.raises(ValueError):
             closure(space4, [e], "sideways")
+
+    def test_closure_matches_brute_force(self):
+        rng = random.Random(3)
+        for n in range(1, 7):
+            space = HistorySpace(n)
+            full = space.full_mask
+            for _ in range(10):
+                seeds = rng.sample(range(1, full + 1), rng.randint(1, min(4, full)))
+                events = [space.event_from_mask(m) for m in seeds]
+                up = {m for m in range(1, full + 1)
+                      if any(s & m == s for s in seeds)}
+                down = {m for m in range(1, full + 1)
+                        if any(s & m == m for s in seeds)}
+                assert {e.mask for e in closure(space, events, "up")} == up
+                assert {e.mask for e in closure(space, events, "down")} == down
+
+    def test_closure_cap_and_errors(self):
+        big = HistorySpace(CLOSURE_MAX_N + 1)
+        with pytest.raises(ResourceLimitError):
+            closure(big, [big.omega()], "up")
+        space = HistorySpace(3)
+        with pytest.raises(ValueError):
+            closure(space, [], "up")
+        with pytest.raises(ValueError):
+            closure(space, [space.empty()], "down")
+        with pytest.raises(SpaceMismatchError):
+            closure(space, [HistorySpace(4).omega()], "up")
