@@ -1,4 +1,8 @@
 import json
+import math
+import tracemalloc
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from qcover import (
     ConsistencyError,
     DecoherenceFunctional,
+    Event,
     HistorySpace,
     InfeasibleNormalizationError,
     ResourceLimitError,
@@ -20,6 +25,16 @@ from qcover import (
     save_functional,
     validate,
     verify_identity,
+)
+from qcover.measure import (
+    TOL_ZERO,
+    _disjoint_families,
+    _inclusion_exclusion,
+    _indicator_matrix,
+    _kernel_disagreements,
+    _pair_cross_terms,
+    _random_disjoint_pair,
+    _suite_plan,
 )
 
 
@@ -220,3 +235,191 @@ class TestValidate:
         assert rep.strongly_positive and rep.weakly_positive
         assert rep.normalized
         assert rep.level == 1
+
+
+def _integer_functional(n, seed):
+    # D = W W^H with small Gaussian-integer W: every block sum is an exact
+    # integer, so any summation order gives the same bits
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    return DecoherenceFunctional(w @ w.conj().T)
+
+
+class TestInclusionExclusion:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interference_matches_level_scan_bitwise(self, seed):
+        d = _integer_functional(5, seed)
+        table = mu_table(d)
+        space = d.space
+        for m in (2, 3, 4):
+            for fam in _disjoint_families(d.n, m):
+                parts = [Event(mask, space) for mask in fam]
+                # the level scan sums the same terms read from mu_table
+                scanned = _inclusion_exclusion(fam, table.__getitem__)
+                assert interference(d, parts) == scanned
+
+    def test_summation_order_is_pinned(self):
+        # by subfamily size, then in combinations order, so that float
+        # reports stay the same bits
+        d = sample_spd(6, rank=4, seed=5)
+        space = d.space
+        for fam in _disjoint_families(6, 3):
+            total = 0.0
+            for r in (1, 2, 3):
+                sign = 1.0 if r % 2 else -1.0
+                for combo in combinations(fam, r):
+                    mask = 0
+                    for part in combo:
+                        mask |= part
+                    total += sign * mu(d, Event(mask, space))
+            assert interference(d, [Event(m, space) for m in fam]) == total
+
+    def test_level_scan_agrees_with_interference(self):
+        for seed in range(3):
+            d = _integer_functional(4, seed)
+            space = d.space
+            tol = TOL_ZERO * d.scale
+            clean = [
+                all(
+                    abs(interference(d, [Event(m, space) for m in fam])) <= tol
+                    for fam in _disjoint_families(d.n, k + 1)
+                )
+                for k in (1, 2)
+            ]
+            expected = 1 if clean[0] else (2 if clean[1] else None)
+            assert measure_level(d, 2) == expected
+
+
+@lru_cache(maxsize=None)
+def _reference_families(n, m):
+    fams = np.array(list(_disjoint_families(n, m)), dtype=np.int64)
+    return tuple(np.ascontiguousarray(col) for col in fams.reshape(-1, m).T)
+
+
+def _reference_identity_suite(n, samples, seed, tol_zero=TOL_ZERO):
+    """The identity suite over a full 2^n x 2^n table of block sums."""
+    x = _indicator_matrix(n)
+    pa, pb = _reference_families(n, 2)
+    punion = pa | pb
+    if n >= 3:
+        ta, tb, tc = _reference_families(n, 3)
+        triples = (ta, tb, tc, ta | tb, ta | tc, tb | tc, ta | tb | tc)
+    else:
+        triples = None
+    max_identity = max_triple = max_pair_zero = max_single_zero = 0.0
+    min_cs = min_lower = min_upper = math.inf
+    kernel_bad = 0
+    for i in range(samples):
+        d = sample_spd(n, n, (seed, i, 0), normalize=True)
+        t = x @ d.entries @ x.T.astype(np.complex128)
+        table = t.diagonal().real.copy()
+        max_identity = max(max_identity, verify_identity(d))
+        if triples is not None:
+            ta, tb, tc, tab, tac, tbc, tabc = triples
+            i3 = (table[tabc] - table[tab] - table[tac] - table[tbc]
+                  + table[ta] + table[tb] + table[tc])
+            max_triple = max(max_triple, float(np.abs(i3).max()))
+        mu_a = np.clip(table[pa], 0.0, None)
+        mu_b = np.clip(table[pb], 0.0, None)
+        mu_ab = table[punion]
+        cs = mu_a * mu_b - np.abs(t[pa, pb]) ** 2
+        min_cs = min(min_cs, float(cs.min()))
+        root_a, root_b = np.sqrt(mu_a), np.sqrt(mu_b)
+        min_lower = min(min_lower, float((mu_ab - (root_a - root_b) ** 2).min()))
+        min_upper = min(min_upper, float(((root_a + root_b) ** 2 - mu_ab).min()))
+        kernel_bad += _kernel_disagreements(d, table, tol_zero)
+
+        rng = np.random.default_rng((seed, i, 1))
+        am, bm = _random_disjoint_pair(rng, n)
+        space = d.space
+        ev_a, ev_b = Event(am, space), Event(bm, space)
+        ev_ab = Event(am | bm, space)
+        d_pair = sample_spd(n, n, (seed, i, 2), annihilate=[ev_ab])
+        max_pair_zero = max(max_pair_zero,
+                            abs(mu(d_pair, ev_a) - mu(d_pair, ev_b)))
+        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair), tol_zero)
+        d_single = sample_spd(n, n, (seed, i, 3), annihilate=[ev_a])
+        max_single_zero = max(max_single_zero,
+                              abs(mu(d_single, ev_ab) - mu(d_single, ev_b)))
+    return {
+        "n": n,
+        "samples": samples,
+        "seed": seed,
+        "max_identity_residual": max_identity,
+        "max_triple_interference": max_triple,
+        "max_pair_zero_dev": max_pair_zero,
+        "max_single_zero_dev": max_single_zero,
+        "min_cauchy_schwarz_slack": min_cs,
+        "min_sandwich_lower_slack": min_lower,
+        "min_sandwich_upper_slack": min_upper,
+        "kernel_disagreements": kernel_bad,
+    }
+
+
+def _brute_disjoint(n, m):
+    # every unordered family of m disjoint nonempty events, by assigning
+    # each label to one of the m blocks or to none
+    fams = set()
+    for assign in product(range(m + 1), repeat=n):
+        blocks = [0] * m
+        for label, b in enumerate(assign):
+            if b:
+                blocks[b - 1] |= 1 << label
+        if all(blocks):
+            fams.add(frozenset(blocks))
+    return fams
+
+
+class TestIdentitySuitePlan:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_full_table_reference(self, n):
+        for seed in range(5):
+            got = identity_suite(n, 3, seed).to_json()
+            ref = _reference_identity_suite(n, 3, seed)
+            assert got.keys() == ref.keys()
+            for key, want in ref.items():
+                if isinstance(want, int):
+                    assert got[key] == want, key
+                else:
+                    assert got[key] == pytest.approx(want, rel=0, abs=1e-14), key
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cross_terms_match_block_sums(self, n):
+        plan = _suite_plan(n)
+        for seed in range(3):
+            d = sample_spd(n, n, (seed, n))
+            cross = _pair_cross_terms(d, plan)
+            space = d.space
+            for k, (a, b) in enumerate(zip(plan.pair_a, plan.pair_b)):
+                want = d_of(d, Event(int(a), space), Event(int(b), space))
+                assert cross[k] == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pairs_and_triples_against_brute_force(self, n):
+        plan = _suite_plan(n)
+        pairs = [frozenset((int(a), int(b)))
+                 for a, b in zip(plan.pair_a, plan.pair_b)]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == _brute_disjoint(n, 2)
+        triples = []
+        for ab_c, a_c, b_c in plan.triple_pairs.T:
+            # C is the one member shared by the pairs (A, C) and (B, C)
+            (c,) = pairs[a_c] & pairs[b_c]
+            (a,) = pairs[a_c] - {c}
+            (b,) = pairs[b_c] - {c}
+            assert a & b == 0
+            assert pairs[ab_c] == {a | b, c}
+            triples.append(frozenset((a, b, c)))
+        assert len(triples) == len(set(triples))
+        assert set(triples) == _brute_disjoint(n, 3)
+
+    def test_no_full_table_at_the_cap(self):
+        identity_suite(10, 1, 0)  # builds the cached plan
+        tracemalloc.start()
+        try:
+            identity_suite(10, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2^10 x 2^10 complex table alone would take 16 MB
+        assert peak < 8 * 2**20
