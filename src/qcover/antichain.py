@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -186,24 +187,17 @@ def _incomparability_adjacency(n: int) -> list[int]:
     return adj
 
 
-def enumerate_inextendible(
-    space: HistorySpace, *, n_limit: int = DEFAULT_ENUM_MAX_N
-) -> Iterator[Antichain]:
-    """Yield every inextendible antichain of the space exactly once,
-    ordered lexicographically by sorted element masks.
-
-    The walk visits all 2^n - 1 nonempty events, so it is capped at
-    n <= 5 by default; ``n_limit`` may be raised to the hard limit of 6.
-    """
+def _inextendible_masks(n: int, n_limit: int) -> Iterator[tuple[int, ...]]:
+    # the sorted member masks behind enumerate_inextendible, in its order
     if n_limit > HARD_ENUM_MAX_N:
         raise ResourceLimitError(
             f"enumeration is hard-capped at n <= {HARD_ENUM_MAX_N}"
         )
-    if space.n > n_limit:
+    if n > n_limit:
         raise ResourceLimitError(
-            f"enumeration over n={space.n} exceeds the limit n <= {n_limit}"
+            f"enumeration over n={n} exceeds the limit n <= {n_limit}"
         )
-    adj = _incomparability_adjacency(space.n)
+    adj = _incomparability_adjacency(n)
     count = len(adj)
     found: list[tuple[int, ...]] = []
 
@@ -241,8 +235,32 @@ def enumerate_inextendible(
 
     expand(0, (1 << count) - 1, 0)
     found.sort()
-    for masks in found:
+    yield from found
+
+
+def enumerate_inextendible(
+    space: HistorySpace, *, n_limit: int = DEFAULT_ENUM_MAX_N
+) -> Iterator[Antichain]:
+    """Yield every inextendible antichain of the space exactly once,
+    ordered lexicographically by sorted element masks.
+
+    The walk visits all 2^n - 1 nonempty events, so it is capped at
+    n <= 5 by default; ``n_limit`` may be raised to the hard limit of 6.
+    """
+    for masks in _inextendible_masks(space.n, n_limit):
         yield _antichain_unchecked(space, masks)
+
+
+@lru_cache(maxsize=HARD_ENUM_MAX_N)
+def _label_table(n: int) -> tuple[tuple[int, ...], ...]:
+    space = HistorySpace(n)
+    return tuple(Event(m, space).labels for m in range(1 << n))
+
+
+def _masks_json(n: int, masks: Iterable[int]) -> dict:
+    """``Antichain.to_json`` from bare masks, for n <= HARD_ENUM_MAX_N."""
+    table = _label_table(n)
+    return {"n": n, "elements": [list(table[m]) for m in masks]}
 
 
 @dataclass(frozen=True)
@@ -278,6 +296,29 @@ class PivotDecomposition:
         }
 
 
+def _level_split(
+    n: int, masks: Iterable[int]
+) -> tuple[tuple[int, int, int, bool], ...]:
+    # (pivot, base_level, free_mask, bound_met) of classify, per level
+    unions: dict[int, int] = {}
+    for m in masks:
+        k = m.bit_count()
+        unions[k] = unions.get(k, 0) | m
+    levels = sorted(unions)
+    # the lowest level lies below every higher pivot, and is its own base
+    base = levels[0]
+    full = (1 << n) - 1
+    out = []
+    for k in levels:
+        off_union = 0
+        for level, union in unions.items():
+            if level != k:
+                off_union |= union
+        free = full & ~off_union
+        out.append((k, base, free, free.bit_count() >= k - base + 1))
+    return tuple(out)
+
+
 def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
     """One :class:`PivotDecomposition` per occupied level, ascending.
 
@@ -286,35 +327,18 @@ def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
     """
     space = ac.space
     out = []
-    for k in ac.levels():
-        at_pivot, below, above = [], [], []
-        off_union = 0
-        for e in ac.elements:
-            c = e.cardinality
-            if c == k:
-                at_pivot.append(e)
-            elif c < k:
-                below.append(e)
-                off_union |= e.mask
-            else:
-                above.append(e)
-                off_union |= e.mask
-        free_mask = space.full_mask & ~off_union
-        free_labels = tuple(
-            i + 1 for i in range(space.n) if (free_mask >> i) & 1
-        )
-        base_level = min((e.cardinality for e in below), default=k)
-        p = len(free_labels)
+    for k, base_level, free_mask, bound_met in _level_split(space.n, ac.masks):
+        free_labels = Event(free_mask, space).labels
         out.append(
             PivotDecomposition(
                 pivot=k,
-                at_pivot=tuple(at_pivot),
-                below=tuple(below),
-                above=tuple(above),
+                at_pivot=tuple(e for e in ac.elements if e.cardinality == k),
+                below=tuple(e for e in ac.elements if e.cardinality < k),
+                above=tuple(e for e in ac.elements if e.cardinality > k),
                 free_labels=free_labels,
-                free_count=p,
+                free_count=len(free_labels),
                 base_level=base_level,
-                bound_met=p >= k - base_level + 1,
+                bound_met=bound_met,
             )
         )
     return tuple(out)

@@ -22,8 +22,9 @@ from .antichain import (
     Antichain,
     GENERATOR_KINDS,
     HARD_ENUM_MAX_N,
+    _inextendible_masks,
+    _masks_json,
     classify,
-    enumerate_inextendible,
     generate,
 )
 from .coevent import derived_antichain, nontriviality
@@ -224,13 +225,12 @@ def _run_coevents(args) -> dict:
 
 def _run_antichain(args) -> dict:
     if args.sub == "enumerate":
-        space = HistorySpace(args.n)
-        limit = min(max(args.n, 1), HARD_ENUM_MAX_N)
-        acs = list(enumerate_inextendible(space, n_limit=limit))
+        n = HistorySpace(args.n).n
+        found = list(_inextendible_masks(n, min(n, HARD_ENUM_MAX_N)))
         return {
-            "n": args.n,
-            "count": len(acs),
-            "antichains": [ac.to_json()["elements"] for ac in acs],
+            "n": n,
+            "count": len(found),
+            "antichains": [_masks_json(n, masks)["elements"] for masks in found],
         }
     if args.sub == "classify":
         with open(args.antichain, encoding="utf-8") as fh:

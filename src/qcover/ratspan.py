@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def span_solve(
@@ -62,3 +62,15 @@ def span_solve(
 
 def in_span(n: int, member_masks: Sequence[int], target_mask: int) -> bool:
     return span_solve(n, member_masks, target_mask) is not None
+
+
+def gf2_rank(member_masks: Iterable[int]) -> int:
+    """Rank of the indicator vectors over GF(2), by an XOR basis.  It is
+    never above their rank over Q, since a minor odd mod 2 is nonzero."""
+    basis: dict[int, int] = {}  # leading bit -> basis vector
+    for m in member_masks:
+        while m.bit_length() in basis:
+            m ^= basis[m.bit_length()]
+        if m:
+            basis[m.bit_length()] = m
+    return len(basis)

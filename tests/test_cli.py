@@ -4,7 +4,7 @@ import math
 import pytest
 
 import qcover.cli as cli
-from qcover import ConsistencyError
+from qcover import ConsistencyError, HistorySpace, enumerate_inextendible
 from qcover.cli import main
 
 
@@ -133,6 +133,16 @@ class TestSubcommands:
         assert code == 0
         assert env["command"] == "antichain enumerate"
         assert env["report"]["count"] == 6
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_antichain_enumerate_matches_objects(self, capsys, n):
+        _, env = run(capsys, "antichain", "enumerate", "--n", str(n))
+        acs = list(enumerate_inextendible(HistorySpace(n)))
+        assert env["report"] == {
+            "n": n,
+            "count": len(acs),
+            "antichains": [ac.to_json()["elements"] for ac in acs],
+        }
 
     def test_antichain_classify(self, capsys, tmp_path):
         p = tmp_path / "ac.json"

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qcover import (
     HistorySpace,
     SpaceMismatchError,
     certificate_class_C,
+    classify,
     decide,
     enumerate_inextendible,
     generate,
@@ -22,6 +24,68 @@ from qcover import (
     validate,
 )
 from qcover import cover as cover_module
+from qcover.ratspan import gf2_rank, span_solve
+
+
+@lru_cache(maxsize=None)
+def inextendible(n):
+    return tuple(enumerate_inextendible(HistorySpace(n), n_limit=n))
+
+
+def reference_levels(ac):
+    """(pivot, base_level, free_labels, bound_met) per level, computed
+    element by element as the object path did."""
+    out = []
+    for k in ac.levels():
+        off_union = 0
+        for e in ac.elements:
+            if e.cardinality != k:
+                off_union |= e.mask
+        free = tuple(
+            lab for lab in ac.space.labels if not (off_union >> (lab - 1)) & 1
+        )
+        base = min((e.cardinality for e in ac.elements if e.cardinality < k),
+                   default=k)
+        out.append((k, base, free, len(free) >= k - base + 1))
+    return out
+
+
+def reference_certificate_kind(ac, levels):
+    if len(levels) == 1:
+        return "full_level"
+    if any(met for _, _, _, met in levels):
+        return "pivot_bound"
+    for kind, _, masks, _ in cover_module._family_instances(ac.space.n):
+        if masks == ac.masks:
+            return f"family_{kind}"
+    return None
+
+
+def reference_scan(space):
+    """The scan as the object path computes it: every antichain through
+    decide and certificate_class_C, JSON through Antichain.to_json."""
+    covers = 0
+    counterexamples, uncertified, tallies = [], [], {}
+    for ac in inextendible(space.n):
+        verdict = decide(space, ac.elements)
+        cert = certificate_class_C(ac)
+        if verdict.is_cover:
+            covers += 1
+        else:
+            counterexamples.append(ac.to_json())
+        if cert is None:
+            if verdict.is_cover:
+                uncertified.append(ac.to_json())
+        else:
+            tallies[cert.kind] = tallies.get(cert.kind, 0) + 1
+    return {
+        "n": space.n,
+        "total": len(inextendible(space.n)),
+        "covers": covers,
+        "counterexamples": counterexamples,
+        "uncertified": uncertified,
+        "certificate_counts": dict(sorted(tallies.items())),
+    }
 
 
 class TestDecide:
@@ -220,6 +284,70 @@ class TestScan:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             scan(HistorySpace(3), workers=0)
+
+    def test_rank_first_verdicts_are_exact(self):
+        # GF(2) rank n means an odd n x n minor, so Q^n is spanned; every
+        # verdict must match the Bareiss decision on the same masks
+        deficient = {}
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            deficient[n] = 0
+            for ac in inextendible(n):
+                in_span = span_solve(n, ac.masks, full) is not None
+                if gf2_rank(ac.masks) == n:
+                    assert in_span, ac.masks
+                else:
+                    deficient[n] += 1
+                is_cover, _ = cover_module._scan_one((n, ac.masks))
+                assert is_cover == in_span, ac.masks
+        assert len(inextendible(6)) == 31_745
+        assert deficient[6] == 6_350
+
+    def test_bareiss_runs_only_on_gf2_deficient(self, monkeypatch):
+        calls = []
+
+        def counting(n, masks, target):
+            calls.append(masks)
+            return span_solve(n, masks, target)
+
+        monkeypatch.setattr(cover_module, "span_solve", counting)
+        scan(HistorySpace(5))
+        assert len(calls) == sum(
+            gf2_rank(ac.masks) < 5 for ac in inextendible(5)
+        )
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_object_path(self, n):
+        got = scan(HistorySpace(n), n_limit=n).to_json()
+        got.pop("elapsed_ms")
+        assert got == reference_scan(HistorySpace(n))
+
+    def test_certificate_kind_from_masks(self):
+        for n in range(1, 7):
+            for ac in inextendible(n):
+                levels = reference_levels(ac)
+                assert [
+                    (d.pivot, d.base_level, d.free_labels, d.bound_met)
+                    for d in classify(ac)
+                ] == levels
+                want = reference_certificate_kind(ac, levels)
+                cert = certificate_class_C(ac)
+                assert (None if cert is None else cert.kind) == want, ac.masks
+                assert cover_module._scan_one((n, ac.masks))[1] == want
+
+    def test_non_cover_takes_the_witness_path(self, monkeypatch):
+        verdicts = []
+
+        def recording(space, events):
+            verdicts.append(decide(space, events))
+            return verdicts[-1]
+
+        monkeypatch.setattr(cover_module, "decide", recording)
+        # the three-slit family {1,2}, {2,3}
+        assert cover_module._scan_one((3, (0b011, 0b110))) == (False, None)
+        (verdict,) = verdicts
+        assert not verdict.is_cover and verdict.union_is_omega
+        assert verdict.witness is not None
 
 
 class TestLevelSums:

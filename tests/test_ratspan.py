@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qcover import HistorySpace, enumerate_inextendible
-from qcover.ratspan import in_span, span_solve
+from qcover.ratspan import gf2_rank, in_span, span_solve
 
 
 def test_three_slit_family_misses_omega():
@@ -148,3 +148,30 @@ def test_agrees_with_sympy_rank_oracle():
             assert (got is not None) == in_span_oracle, (members, target)
             if got is not None:
                 assert a * sympy.Matrix(got) == aug[:, -1]
+
+
+def gf2_reference(n, member_masks):
+    """Row reduction of the 0/1 indicator matrix mod 2."""
+    rows = [[(mask >> bit) & 1 for mask in member_masks] for bit in range(n)]
+    rank = 0
+    for c in range(len(member_masks)):
+        pivot_row = next((i for i in range(rank, n) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        for i in range(n):
+            if i != rank and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_gf2_rank_matches_elimination_mod_2():
+    rng = random.Random("ratspan:gf2")
+    for n in range(1, 13):
+        for _ in range(60):
+            members, _ = random_family(rng, n)
+            assert gf2_rank(members) == gf2_reference(n, members), members
+    # {1,2}, {1,3}, {2,3} have rank 3 over Q but 2 over GF(2)
+    assert gf2_rank([0b011, 0b101, 0b110]) == 2
+    assert gf2_rank([]) == 0
