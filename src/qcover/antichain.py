@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError, SpaceMismatchError
-from .histories import Event, HistorySpace, level_elements
+from .histories import Event, HistorySpace, JsonRecord, level_elements
 
 # enumeration works vertex-by-vertex over all 2^n - 1 nonempty events
 DEFAULT_ENUM_MAX_N = 5
@@ -264,7 +264,7 @@ def _masks_json(n: int, masks: Iterable[int]) -> dict:
 
 
 @dataclass(frozen=True)
-class PivotDecomposition:
+class PivotDecomposition(JsonRecord):
     """Split of an antichain around one of its occupied levels.
 
     ``free_labels`` are the fine-grained histories that appear in no
@@ -282,18 +282,6 @@ class PivotDecomposition:
     free_count: int
     base_level: int
     bound_met: bool
-
-    def to_json(self) -> dict:
-        return {
-            "pivot": self.pivot,
-            "at_pivot": [e.to_json() for e in self.at_pivot],
-            "below": [e.to_json() for e in self.below],
-            "above": [e.to_json() for e in self.above],
-            "free_labels": list(self.free_labels),
-            "free_count": self.free_count,
-            "base_level": self.base_level,
-            "bound_met": self.bound_met,
-        }
 
 
 def _level_split(

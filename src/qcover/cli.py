@@ -5,8 +5,9 @@ the command, the effective configuration, a timestamp, and the report.
 Fixed seed and worker count give byte-identical reports apart from the
 timestamp and elapsed-time fields.
 
-Exit codes: 0 success, 2 invalid input or resource limit, 3 a scan
-found a mathematical counterexample, 4 an internal invariant failed.
+Exit codes: 0 success, 2 invalid input or resource limit, 3 the report
+lists a mathematical counterexample (only a scan's can), 4 an internal
+invariant failed.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, n=False, seed=False, samples=None, tols=False,
+    def common(sp, run, *, n=False, seed=False, samples=None, tols=False,
                workers=False, dmatrix=False, antichain=False, exact=False,
                k=False):
+        sp.set_defaults(func=run)
         if n:
             sp.add_argument("--n", type=int, required=(n == "required"),
                             default=None if n == "required" else n,
@@ -105,45 +107,45 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write the report here")
 
     sp = sub.add_parser("identities", help="randomized identity suite")
-    common(sp, n=4, seed=True, samples=100, tols=True)
+    common(sp, _run_identities, n=4, seed=True, samples=100, tols=True)
 
     sp = sub.add_parser("validate", help="validate a functional")
-    common(sp, dmatrix=True, tols=True, k=True)
+    common(sp, _run_validate, dmatrix=True, tols=True, k=True)
 
     sp = sub.add_parser("measure", help="measures of events under a functional")
-    common(sp, dmatrix=True, antichain=True, tols=True, k=True)
+    common(sp, _run_measure, dmatrix=True, antichain=True, tols=True, k=True)
 
     sp = sub.add_parser("cover-check", help="exact quantum-cover decision")
-    common(sp, antichain="required", tols=True)
+    common(sp, _run_cover_check, antichain="required", tols=True)
 
     sp = sub.add_parser("scan", help="decide every inextendible antichain")
-    common(sp, n="required", workers=True)
+    common(sp, _run_scan, n="required", workers=True)
 
     sp = sub.add_parser("coevents", help="preclusion structure of a functional")
-    common(sp, dmatrix=True, tols=True, exact=True)
+    common(sp, _run_coevents, dmatrix=True, tols=True, exact=True)
 
     ap = sub.add_parser("antichain", help="antichain utilities")
     asub = ap.add_subparsers(dest="sub", required=True)
     sp = asub.add_parser("enumerate", help="all inextendible antichains")
-    common(sp, n="required")
+    common(sp, _run_enumerate, n="required")
     sp = asub.add_parser("classify", help="pivot decompositions and certificate")
-    common(sp, antichain="required")
+    common(sp, _run_classify, antichain="required")
     sp = asub.add_parser("generate", help="structured antichain families")
     sp.add_argument("kind", choices=GENERATOR_KINDS)
-    common(sp, n="required", k=True)
+    common(sp, _run_generate, n="required", k=True)
 
     pp = sub.add_parser("pks", help="the 33-ray coloring construction")
     psub = pp.add_subparsers(dest="sub", required=True)
     sp = psub.add_parser("rays", help="the 33 canonical rays")
-    common(sp)
+    common(sp, _run_rays)
     sp = psub.add_parser("bases", help="orthogonal bases and pairs")
-    common(sp)
+    common(sp, _run_bases)
     sp = psub.add_parser("search", help="consistent-coloring search")
-    common(sp)
+    common(sp, _run_search)
     sp = psub.add_parser("witness", help="antichain / inextendibility verdict")
-    common(sp)
+    common(sp, _run_witness)
     sp = psub.add_parser("sample", help="random-coloring coverage check")
-    common(sp, seed=True, samples=100_000)
+    common(sp, _run_sample, seed=True, samples=100_000)
     return p
 
 
@@ -198,12 +200,10 @@ def _run_cover_check(args) -> dict:
     return verdict.to_json()
 
 
-def _run_scan(args) -> tuple[dict, int]:
+def _run_scan(args) -> dict:
     space = HistorySpace(args.n)
     limit = min(max(args.n, 1), HARD_ENUM_MAX_N)
-    rep = scan(space, workers=args.workers, n_limit=limit)
-    code = 3 if rep.counterexamples else 0
-    return rep.to_json(), code
+    return scan(space, workers=args.workers, n_limit=limit).to_json()
 
 
 def _run_coevents(args) -> dict:
@@ -223,24 +223,28 @@ def _run_coevents(args) -> dict:
     return out
 
 
-def _run_antichain(args) -> dict:
-    if args.sub == "enumerate":
-        n = HistorySpace(args.n).n
-        found = list(_inextendible_masks(n, min(n, HARD_ENUM_MAX_N)))
-        return {
-            "n": n,
-            "count": len(found),
-            "antichains": [_masks_json(n, masks)["elements"] for masks in found],
-        }
-    if args.sub == "classify":
-        with open(args.antichain, encoding="utf-8") as fh:
-            ac = Antichain.from_json(json.load(fh))
-        cert = certificate_class_C(ac)
-        return {
-            "antichain": ac.to_json(),
-            "decompositions": [d.to_json() for d in classify(ac)],
-            "certificate": None if cert is None else cert.to_json(),
-        }
+def _run_enumerate(args) -> dict:
+    n = HistorySpace(args.n).n
+    found = list(_inextendible_masks(n, min(n, HARD_ENUM_MAX_N)))
+    return {
+        "n": n,
+        "count": len(found),
+        "antichains": [_masks_json(n, masks)["elements"] for masks in found],
+    }
+
+
+def _run_classify(args) -> dict:
+    with open(args.antichain, encoding="utf-8") as fh:
+        ac = Antichain.from_json(json.load(fh))
+    cert = certificate_class_C(ac)
+    return {
+        "antichain": ac.to_json(),
+        "decompositions": [d.to_json() for d in classify(ac)],
+        "certificate": None if cert is None else cert.to_json(),
+    }
+
+
+def _run_generate(args) -> dict:
     space = HistorySpace(args.n)
     params = {}
     if args.kind == "level":
@@ -261,47 +265,32 @@ def _run_antichain(args) -> dict:
     return {"kind": args.kind, "params": params, "antichain": ac.to_json()}
 
 
-def _run_pks(args) -> dict:
-    if args.sub == "rays":
-        rays = peres_rays()
-        return {"count": len(rays), "rays": [r.to_json() for r in rays]}
+def _run_rays(args) -> dict:
+    rays = peres_rays()
+    return {"count": len(rays), "rays": [r.to_json() for r in rays]}
+
+
+def _run_bases(args) -> dict:
     st = orthogonal_structure(peres_rays())
-    if args.sub == "bases":
-        out = st.to_json()
-        out["basis_count"] = len(st.bases)
-        out["pair_count"] = len(st.pairs)
-        return out
-    if args.sub == "search":
-        return search_consistent_coloring(st).to_json()
-    if args.sub == "witness":
-        return witness_check(st).to_json()
-    cov = sample_coverage(st, samples=args.samples, seed=args.seed)
-    return cov.to_json()
+    out = st.to_json()
+    out["basis_count"] = len(st.bases)
+    out["pair_count"] = len(st.pairs)
+    return out
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "identities":
-        return _run_identities(args), 0
-    if args.command == "validate":
-        return _run_validate(args), 0
-    if args.command == "measure":
-        return _run_measure(args), 0
-    if args.command == "cover-check":
-        return _run_cover_check(args), 0
-    if args.command == "scan":
-        return _run_scan(args)
-    if args.command == "coevents":
-        return _run_coevents(args), 0
-    if args.command == "antichain":
-        return _run_antichain(args), 0
-    if args.command == "pks":
-        return _run_pks(args), 0
-    raise ValueError(f"unknown command {args.command!r}")
+def _run_search(args) -> dict:
+    st = orthogonal_structure(peres_rays())
+    return search_consistent_coloring(st).to_json()
 
 
-def _config_of(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "out"}
-    return cfg
+def _run_witness(args) -> dict:
+    st = orthogonal_structure(peres_rays())
+    return witness_check(st).to_json()
+
+
+def _run_sample(args) -> dict:
+    st = orthogonal_structure(peres_rays())
+    return sample_coverage(st, samples=args.samples, seed=args.seed).to_json()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -310,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, code = _dispatch(args)
+        report = args.func(args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
@@ -328,7 +317,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     envelope = {
         "command": args.command + (f" {args.sub}" if hasattr(args, "sub") else ""),
-        "config": _config_of(args),
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("out", "func")},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "report": report,
     }
@@ -337,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write_envelope(envelope, fh)
     else:
         _write_envelope(envelope, sys.stdout)
-    return code
+    return 3 if report.get("counterexamples") else 0
 
 
 def _write_envelope(envelope: dict, fh: TextIO) -> None:

@@ -36,7 +36,7 @@ from .antichain import (
     generate,
 )
 from .errors import ConsistencyError, SpaceMismatchError
-from .histories import Event, HistorySpace
+from .histories import Event, HistorySpace, JsonRecord
 from .measure import (
     TOL_PSD,
     TOL_ZERO,
@@ -51,7 +51,7 @@ WITNESS_NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(JsonRecord):
     """Outcome of the exact quantum-cover decision for one event family."""
 
     is_cover: bool
@@ -60,20 +60,6 @@ class CoverVerdict:
     coefficients: Optional[tuple[Fraction, ...]]
     witness: Optional[DecoherenceFunctional]
     uncovered_label: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "is_cover": self.is_cover,
-            "union_is_omega": self.union_is_omega,
-            "events": [e.to_json() for e in self.events],
-            "coefficients": (
-                None
-                if self.coefficients is None
-                else [str(c) for c in self.coefficients]
-            ),
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "uncovered_label": self.uncovered_label,
-        }
 
 
 def _complement_projector(n: int, masks: Sequence[int]) -> np.ndarray:
@@ -166,25 +152,15 @@ def decide(
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(JsonRecord):
     """Analytic reason why an inextendible antichain must be a cover."""
 
     kind: str
     pivot: int
     base_level: int
     free_count: int
-    params: tuple[tuple[str, int], ...]
+    params: dict[str, int]
     narrative: str
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pivot": self.pivot,
-            "base_level": self.base_level,
-            "free_count": self.free_count,
-            "params": dict(self.params),
-            "narrative": self.narrative,
-        }
 
 
 @lru_cache(maxsize=32)
@@ -239,7 +215,7 @@ def _certificate(n: int, masks: tuple[int, ...]) -> Optional[Certificate]:
             f" level sum identity pins the total measure to a"
             f" nonnegative multiple of the element measures"
         )
-        return Certificate("full_level", k, k, n, (("k", k),), narrative)
+        return Certificate("full_level", k, k, n, {"k": k}, narrative)
     for pivot, base, free_mask, bound_met in split:
         if bound_met:
             free = free_mask.bit_count()
@@ -249,7 +225,7 @@ def _certificate(n: int, masks: tuple[int, ...]) -> Optional[Certificate]:
                 f" base level {base}; coarse-graining the free histories"
                 f" reduces the family to a complete level"
             )
-            return Certificate("pivot_bound", pivot, base, free, (), narrative)
+            return Certificate("pivot_bound", pivot, base, free, {}, narrative)
     for kind, params, fam_masks, pivot in _family_instances(n):
         if fam_masks == masks:
             _, base, free_mask, _ = next(s for s in split if s[0] == pivot)
@@ -260,13 +236,13 @@ def _certificate(n: int, masks: tuple[int, ...]) -> Optional[Certificate]:
             )
             free = free_mask.bit_count()
             return Certificate(
-                f"family_{kind}", pivot, base, free, params, narrative
+                f"family_{kind}", pivot, base, free, dict(params), narrative
             )
     return None
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(JsonRecord):
     """Aggregate verdict over every inextendible antichain of a space."""
 
     n: int
@@ -274,19 +250,8 @@ class ScanReport:
     covers: int
     counterexamples: tuple[dict, ...]
     uncertified: tuple[dict, ...]
-    certificate_counts: tuple[tuple[str, int], ...]
+    certificate_counts: dict[str, int]
     elapsed_ms: float
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "covers": self.covers,
-            "counterexamples": list(self.counterexamples),
-            "uncertified": list(self.uncertified),
-            "certificate_counts": dict(self.certificate_counts),
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _scan_one(args: tuple[int, tuple[int, ...]]) -> tuple[bool, Optional[str]]:
@@ -345,7 +310,7 @@ def scan(space: HistorySpace, *, workers: int = 1, n_limit: int = 5) -> ScanRepo
         covers=len(payload) - len(counterexamples),
         counterexamples=tuple(counterexamples),
         uncertified=tuple(uncertified),
-        certificate_counts=tuple(sorted(tallies.items())),
+        certificate_counts=dict(sorted(tallies.items())),
         elapsed_ms=elapsed_ms,
     )
 
@@ -377,7 +342,7 @@ def indicator_level_identity(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class LevelSumReport:
+class LevelSumReport(JsonRecord):
     """Level sum of the measure against its closed form, plus the
     classical cover inequality for the complete level."""
 
@@ -389,18 +354,6 @@ class LevelSumReport:
     singles_sum: float
     inequality_slack: float
     inequality_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "level_sum": self.level_sum,
-            "closed_form": self.closed_form,
-            "residual": self.residual,
-            "mu_omega": self.mu_omega,
-            "singles_sum": self.singles_sum,
-            "inequality_slack": self.inequality_slack,
-            "inequality_ok": self.inequality_ok,
-        }
 
 
 def level_sum_check(

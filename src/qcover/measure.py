@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     SpaceMismatchError,
 )
-from .histories import Event, HistorySpace
+from .histories import Event, HistorySpace, JsonRecord
 from .ratspan import span_solve
 
 TOL_HERM = 1e-9
@@ -329,11 +329,15 @@ def verify_identity(d: DecoherenceFunctional) -> float:
     It is pure algebra for Hermitian matrices, so the residual measures
     floating-point noise only.
     """
+    return _identity_residual(d, mu_table(d))
+
+
+def _identity_residual(d: DecoherenceFunctional, table: np.ndarray) -> float:
+    # verify_identity given the functional's mu_table
     n = d.n
     if n < 3:
         return 0.0
     x = _indicator_matrix(n)
-    table = mu_table(d)
     m_real = d.entries.real
     diag = np.diag(m_real).copy()
     pairgrid = diag[:, None] + diag[None, :] + 2.0 * m_real
@@ -484,7 +488,7 @@ def _random_disjoint_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(JsonRecord):
     """Aggregated residuals from seeded random-functional checks.
 
     All maxima are over every sample; slacks are inequality margins and
@@ -502,21 +506,6 @@ class IdentitySuiteReport:
     min_sandwich_lower_slack: float
     min_sandwich_upper_slack: float
     kernel_disagreements: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_identity_residual": self.max_identity_residual,
-            "max_triple_interference": self.max_triple_interference,
-            "max_pair_zero_dev": self.max_pair_zero_dev,
-            "max_single_zero_dev": self.max_single_zero_dev,
-            "min_cauchy_schwarz_slack": self.min_cauchy_schwarz_slack,
-            "min_sandwich_lower_slack": self.min_sandwich_lower_slack,
-            "min_sandwich_upper_slack": self.min_sandwich_upper_slack,
-            "kernel_disagreements": self.kernel_disagreements,
-        }
 
 
 def _kernel_disagreements(
@@ -583,7 +572,7 @@ def identity_suite(
         d = sample_spd(n, r, (seed, i, 0), normalize=True)
         table = mu_table(d)
 
-        max_identity = max(max_identity, verify_identity(d))
+        max_identity = max(max_identity, _identity_residual(d, table))
 
         raw_a = table[pa]
         raw_b = table[pb]
@@ -639,7 +628,7 @@ def identity_suite(
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(JsonRecord):
     """Outcome of validating a decoherence functional."""
 
     n: int
@@ -652,20 +641,6 @@ class ValidationReport:
     normalized: bool
     total_measure: float
     level: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "hermitian": self.hermitian,
-            "herm_residual": self.herm_residual,
-            "strongly_positive": self.strongly_positive,
-            "min_eigenvalue": self.min_eigenvalue,
-            "weakly_positive": self.weakly_positive,
-            "min_measure": self.min_measure,
-            "normalized": self.normalized,
-            "total_measure": self.total_measure,
-            "level": self.level,
-        }
 
 
 def validate(

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError
+from .histories import JsonRecord
 
 RAY_COUNT = 33
 BASIS_COUNT = 16
@@ -150,19 +151,12 @@ class Basis:
 
 
 @dataclass(frozen=True)
-class OrthogonalStructure:
+class OrthogonalStructure(JsonRecord):
     """The rays with every orthogonal basis and every orthogonal pair."""
 
     rays: tuple[Ray, ...]
     bases: tuple[Basis, ...]
     pairs: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "rays": [r.to_json() for r in self.rays],
-            "bases": [b.to_json() for b in self.bases],
-            "pairs": [list(p) for p in self.pairs],
-        }
 
 
 def orthogonal_structure(rays: Sequence[Ray]) -> OrthogonalStructure:
@@ -338,33 +332,18 @@ def pks_comparability(e1: PKSEvent, e2: PKSEvent) -> str:
 
 
 @dataclass(frozen=True)
-class SearchStats:
+class SearchStats(JsonRecord):
     nodes: int
     propagations: int
     backtracks: int
     elapsed_ms: float
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "propagations": self.propagations,
-            "backtracks": self.backtracks,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
 
 @dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(JsonRecord):
     satisfiable: bool
     coloring: Optional[Coloring]
     stats: SearchStats
-
-    def to_json(self) -> dict:
-        return {
-            "satisfiable": self.satisfiable,
-            "coloring": None if self.coloring is None else self.coloring.to_json(),
-            "stats": self.stats.to_json(),
-        }
 
 
 def search_consistent_coloring(
@@ -482,7 +461,7 @@ def search_consistent_coloring(
 
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(JsonRecord):
     """Mechanical verification that the obstruction family is an
     antichain but not an inextendible one."""
 
@@ -497,21 +476,6 @@ class WitnessReport:
     antichain: bool
     inextendible: bool
     verdict: str
-
-    def to_json(self) -> dict:
-        return {
-            "canonical_basis": list(self.canonical_basis),
-            "event_count": self.event_count,
-            "bases_in_complement": self.bases_in_complement,
-            "pairs_in_basis": self.pairs_in_basis,
-            "green_outside_memberships": self.green_outside_memberships,
-            "green_inside_memberships": self.green_inside_memberships,
-            "shared_memberships": self.shared_memberships,
-            "min_event_size": self.min_event_size,
-            "antichain": self.antichain,
-            "inextendible": self.inextendible,
-            "verdict": self.verdict,
-        }
 
 
 def witness_check(
@@ -611,17 +575,10 @@ def witness_check(
 
 
 @dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(JsonRecord):
     samples: int
     covered: int
     all_covered: bool
-
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "covered": self.covered,
-            "all_covered": self.all_covered,
-        }
 
 
 def sample_coverage(

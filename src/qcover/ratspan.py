@@ -60,10 +60,6 @@ def span_solve(
     return coeffs
 
 
-def in_span(n: int, member_masks: Sequence[int], target_mask: int) -> bool:
-    return span_solve(n, member_masks, target_mask) is not None
-
-
 def gf2_rank(member_masks: Iterable[int]) -> int:
     """Rank of the indicator vectors over GF(2), by an XOR basis.  It is
     never above their rank over Q, since a minor odd mod 2 is nonzero."""

@@ -281,6 +281,18 @@ class TestScan:
             "certificate_counts", "elapsed_ms",
         }
 
+    def test_json_passes_lists_and_dicts_through(self):
+        # the serializer turns tuples into lists but must not copy the
+        # JSON already inside: an n = 6 report holds 27,112 entries
+        rep = scan(HistorySpace(5))
+        data = rep.to_json()
+        assert len(rep.uncertified) == 148
+        assert all(
+            a is b
+            for a, b in zip(data["uncertified"], rep.uncertified, strict=True)
+        )
+        assert data["certificate_counts"] is rep.certificate_counts
+
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             scan(HistorySpace(3), workers=0)
