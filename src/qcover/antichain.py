@@ -334,6 +334,14 @@ def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
 
 GENERATOR_KINDS = ("level", "coatom_pair", "bowtie", "windmill", "straddle")
 
+# the one integer parameter of each kind that takes one, with what it
+# means when the CLI asks for it as --k (None: the flag's name says it)
+GENERATOR_PARAMS = {
+    "level": ("k", None),
+    "windmill": ("m", "the block count"),
+    "straddle": ("l", "the band level"),
+}
+
 
 def generate(space: HistorySpace, kind: str, **params) -> Antichain:
     """Build one of the structured inextendible antichain families.
@@ -352,9 +360,23 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
     is returned; a failure is an internal bug, not a user error.
     """
     n = space.n
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(
+            f"unknown antichain kind {kind!r}; choose from {GENERATOR_KINDS}"
+        )
+    name, _ = GENERATOR_PARAMS.get(kind, (None, None))
+    if name is not None:
+        if name not in params:
+            raise ValueError(f"missing required parameter {name!r}")
+        value = params[name]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
+    extra = set(params) - {name}
+    if extra:
+        raise ValueError(f"unexpected parameters: {sorted(extra)}")
+
     if kind == "level":
-        k = _int_param(params, "k")
-        _no_extra(params, {"k"})
+        k = value
         if not 1 <= k <= n:
             raise ValueError(f"level k={k} out of range 1..{n}")
         events = level_elements(space, k)
@@ -366,7 +388,6 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
         return ac
 
     if kind == "coatom_pair":
-        _no_extra(params, set())
         if n <= 3:
             raise ValueError("coatom_pair requires n > 3")
         full = space.full_mask
@@ -376,14 +397,12 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
         return _checked_family(space, masks, kind)
 
     if kind == "bowtie":
-        _no_extra(params, set())
         if n < 5 or n % 2 == 0:
             raise ValueError("bowtie requires odd n >= 5")
         return generate(space, "windmill", m=2)
 
     if kind == "windmill":
-        m = _int_param(params, "m")
-        _no_extra(params, {"m"})
+        m = value
         if m < 2:
             raise ValueError("windmill requires m >= 2")
         if (n - 1) % m != 0:
@@ -404,8 +423,7 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
         return _checked_family(space, masks, kind)
 
     if kind == "straddle":
-        l = _int_param(params, "l")
-        _no_extra(params, {"l"})
+        l = value
         if n < 5:
             raise ValueError("straddle requires n >= 5")
         if not 3 <= l <= n - 2:
@@ -421,29 +439,12 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
         masks.add(_mask_of([1, 3]))
         return _checked_family(space, masks, kind)
 
-    raise ValueError(f"unknown antichain kind {kind!r}; choose from {GENERATOR_KINDS}")
-
 
 def _mask_of(labels: Iterable[int]) -> int:
     m = 0
     for lab in labels:
         m |= 1 << (lab - 1)
     return m
-
-
-def _int_param(params: dict, name: str) -> int:
-    if name not in params:
-        raise ValueError(f"missing required parameter {name!r}")
-    val = params[name]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ValueError(f"parameter {name!r} must be an integer, got {val!r}")
-    return val
-
-
-def _no_extra(params: dict, allowed: set) -> None:
-    extra = set(params) - allowed
-    if extra:
-        raise ValueError(f"unexpected parameters: {sorted(extra)}")
 
 
 def _checked_family(space: HistorySpace, masks: set[int], kind: str) -> Antichain:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence, TextIO
 from .antichain import (
     Antichain,
     GENERATOR_KINDS,
+    GENERATOR_PARAMS,
     HARD_ENUM_MAX_N,
     _inextendible_masks,
     _masks_json,
@@ -48,8 +49,8 @@ from .measure import (
     validate,
 )
 from .pks import (
-    orthogonal_structure,
     peres_rays,
+    peres_structure,
     sample_coverage,
     search_consistent_coloring,
     witness_check,
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _run_measure, dmatrix=True, antichain=True, tols=True, k=True)
 
     sp = sub.add_parser("cover-check", help="exact quantum-cover decision")
-    common(sp, _run_cover_check, antichain="required", tols=True)
+    common(sp, _run_cover_check, antichain="required")
 
     sp = sub.add_parser("scan", help="decide every inextendible antichain")
     common(sp, _run_scan, n="required", workers=True)
@@ -195,9 +196,7 @@ def _run_measure(args) -> dict:
 
 def _run_cover_check(args) -> dict:
     space, events = _load_event_family(args.antichain)
-    verdict = decide(space, events, tol_zero=args.tol_zero,
-                     tol_psd=args.tol_psd)
-    return verdict.to_json()
+    return decide(space, events).to_json()
 
 
 def _run_scan(args) -> dict:
@@ -247,18 +246,12 @@ def _run_classify(args) -> dict:
 def _run_generate(args) -> dict:
     space = HistorySpace(args.n)
     params = {}
-    if args.kind == "level":
+    if args.kind in GENERATOR_PARAMS:
+        name, meaning = GENERATOR_PARAMS[args.kind]
         if args.k is None:
-            raise ValueError("kind 'level' needs --k")
-        params["k"] = args.k
-    elif args.kind == "windmill":
-        if args.k is None:
-            raise ValueError("kind 'windmill' needs --k (the block count)")
-        params["m"] = args.k
-    elif args.kind == "straddle":
-        if args.k is None:
-            raise ValueError("kind 'straddle' needs --k (the band level)")
-        params["l"] = args.k
+            hint = f" ({meaning})" if meaning else ""
+            raise ValueError(f"kind {args.kind!r} needs --k{hint}")
+        params[name] = args.k
     elif args.k is not None:
         raise ValueError(f"kind {args.kind!r} takes no --k")
     ac = generate(space, args.kind, **params)
@@ -271,26 +264,21 @@ def _run_rays(args) -> dict:
 
 
 def _run_bases(args) -> dict:
-    st = orthogonal_structure(peres_rays())
-    out = st.to_json()
-    out["basis_count"] = len(st.bases)
-    out["pair_count"] = len(st.pairs)
-    return out
+    st = peres_structure()
+    return {**st.to_json(), "basis_count": len(st.bases),
+            "pair_count": len(st.pairs)}
 
 
 def _run_search(args) -> dict:
-    st = orthogonal_structure(peres_rays())
-    return search_consistent_coloring(st).to_json()
+    return search_consistent_coloring().to_json()
 
 
 def _run_witness(args) -> dict:
-    st = orthogonal_structure(peres_rays())
-    return witness_check(st).to_json()
+    return witness_check().to_json()
 
 
 def _run_sample(args) -> dict:
-    st = orthogonal_structure(peres_rays())
-    return sample_coverage(st, samples=args.samples, seed=args.seed).to_json()
+    return sample_coverage(samples=args.samples, seed=args.seed).to_json()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

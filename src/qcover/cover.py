@@ -10,8 +10,11 @@ the orthogonal projector onto the complement of the span is itself a
 strongly positive functional annihilating every O_i with
 mu(Omega) = ||P chi_Omega||^2 > 0.  Conversely chi_Omega in the span
 forces D chi_Omega = 0, hence mu(Omega) = 0, for every annihilating D.
-``decide`` settles span membership by exact integer elimination and only
-uses floating point to report the witness.
+``decide`` settles span membership and builds that projector by one exact
+integer elimination (``ratspan``), and checks the witness exactly: the
+projector annihilates every member and mu(Omega) > 0 as integer sums.
+Floating point enters only when the witness entries are reported, each
+the correctly rounded value of its exact fraction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -37,17 +40,8 @@ from .antichain import (
 )
 from .errors import ConsistencyError, SpaceMismatchError
 from .histories import Event, HistorySpace, JsonRecord
-from .measure import (
-    TOL_PSD,
-    TOL_ZERO,
-    DecoherenceFunctional,
-    mu,
-    mu_table,
-    validate,
-)
-from .ratspan import gf2_rank, span_solve
-
-WITNESS_NULL_TOL = 1e-12
+from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
+from .ratspan import complement_projector, gf2_rank, span_solve
 
 
 @dataclass(frozen=True)
@@ -57,46 +51,29 @@ class CoverVerdict(JsonRecord):
     is_cover: bool
     union_is_omega: bool
     events: tuple[Event, ...]
-    coefficients: Optional[tuple[Fraction, ...]]
-    witness: Optional[DecoherenceFunctional]
-    uncovered_label: Optional[int]
+    coefficients: Optional[tuple[Fraction, ...]] = None
+    witness: Optional[DecoherenceFunctional] = None
+    uncovered_label: Optional[int] = None
 
 
-def _complement_projector(n: int, masks: Sequence[int]) -> np.ndarray:
-    cols = np.stack(
-        [
-            np.array([(m >> i) & 1 for i in range(n)], dtype=np.float64)
-            for m in masks
-        ],
-        axis=1,
-    )
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int((s > 1e-12 * s[0]).sum())
-    q = u[:, :rank]
-    return np.eye(n) - q @ q.T
-
-
-def decide(
-    space: HistorySpace,
-    events: Iterable[Event],
-    *,
-    tol_zero: float = TOL_ZERO,
-    tol_psd: float = TOL_PSD,
-) -> CoverVerdict:
+def decide(space: HistorySpace, events: Iterable[Event]) -> CoverVerdict:
     """Decide whether the family is a quantum cover.
 
     The verdict is exact: membership of chi_Omega in the rational span of
     the event indicators is settled by fraction-free integer elimination
     (``ratspan.span_solve``).  A positive verdict carries the rational
-    combination; a negative one carries the complement projector as an
-    explicit strongly positive functional that annihilates every member
-    yet gives Omega positive measure.
+    combination; a negative one carries the complement projector
+    (``ratspan.complement_projector``) as an explicit strongly positive
+    functional that annihilates every member yet gives Omega positive
+    measure.  Both witness properties are checked in integers, and each
+    witness entry is its exact fraction correctly rounded to a float.
     """
     evs = tuple(events)
     if not evs:
         raise ValueError("a cover candidate needs at least one event")
     masks: list[int] = []
     seen = set()
+    union = 0
     for e in evs:
         if e.space != space:
             raise SpaceMismatchError("event does not belong to the given space")
@@ -106,49 +83,21 @@ def decide(
             raise ValueError(f"duplicate event {sorted(e.labels)}")
         seen.add(e.mask)
         masks.append(e.mask)
-    union = 0
-    for m in masks:
-        union |= m
+        union |= e.mask
     if union != space.full_mask:
         uncovered = next(
             lab for lab in space.labels if not (union >> (lab - 1)) & 1
         )
-        return CoverVerdict(
-            is_cover=False,
-            union_is_omega=False,
-            events=evs,
-            coefficients=None,
-            witness=None,
-            uncovered_label=uncovered,
-        )
+        return CoverVerdict(False, False, evs, uncovered_label=uncovered)
     coeffs = span_solve(space.n, masks, space.full_mask)
     if coeffs is not None:
-        return CoverVerdict(
-            is_cover=True,
-            union_is_omega=True,
-            events=evs,
-            coefficients=tuple(coeffs),
-            witness=None,
-            uncovered_label=None,
-        )
-    proj = _complement_projector(space.n, masks)
-    witness = DecoherenceFunctional(proj)
-    report = validate(witness, tol_psd=tol_psd, weak_max_n=0)
-    if not (report.hermitian and report.strongly_positive):
-        raise ConsistencyError("witness projector failed positivity validation")
-    for e in evs:
-        if mu(witness, e) > WITNESS_NULL_TOL:
-            raise ConsistencyError("witness projector does not annihilate a member")
-    if mu(witness, space.omega()) <= tol_zero:
+        return CoverVerdict(True, True, evs, coefficients=tuple(coeffs))
+    num, den = complement_projector(space.n, masks)
+    # mu(Omega) = 1^T P 1, so its sign is that of the numerators' sum
+    if sum(map(sum, num)) <= 0:
         raise ConsistencyError("witness projector gives Omega no measure")
-    return CoverVerdict(
-        is_cover=False,
-        union_is_omega=True,
-        events=evs,
-        coefficients=None,
-        witness=witness,
-        uncovered_label=None,
-    )
+    witness = DecoherenceFunctional([[v / den for v in row] for row in num])
+    return CoverVerdict(False, True, evs, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -272,7 +221,7 @@ def scan(space: HistorySpace, *, workers: int = 1, n_limit: int = 5) -> ScanRepo
     odd, hence nonzero over Q, so they span Q^n and chi_Omega is in their
     span: a cover, with no float or modular guess.  Only the rest go to
     ``span_solve`` (Bareiss), and a non-cover then takes the full
-    ``decide``, which builds and validates its witness.  At n = 6, 25,395
+    ``decide``, which builds and checks its witness.  At n = 6, 25,395
     of the 31,745 antichains have GF(2) rank 6 and Bareiss decides the
     other 6,350, all covers.  Certificate kinds come from the same masks.
 

@@ -27,13 +27,11 @@ from .errors import (
     SpaceMismatchError,
 )
 from .histories import Event, HistorySpace, JsonRecord
-from .ratspan import span_solve
+from .ratspan import span_projector
 
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 TOL_ZERO = 1e-9
-TOL_IDENTITY = 1e-10
-TOL_DERIVED = 1e-7
 
 # per-event tables enumerate all 2^n events
 MU_TABLE_MAX_N = 16
@@ -368,39 +366,37 @@ def sample_spd(
     PCG64) and projects each against the span of the indicator vectors of
     the ``annihilate`` events, so those events get measure zero exactly
     (to rounding); the Gram matrix of the projected vectors is returned.
-    With ``normalize=True`` the result is rescaled to total measure one,
-    which fails when the all-ones indicator lies in the annihilated span.
+    The projector is the exact one of ``ratspan.span_projector``, B X / den
+    with integer X, applied as w - B (X w) / den.  With ``normalize=True``
+    the result is rescaled to total measure one, which fails when the
+    all-ones indicator lies in the annihilated span, decided exactly as
+    1^T (I - B X / den) 1 = 0.
     """
     space = HistorySpace(n)
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in 1..{n}, got {rank}")
     ann_masks: list[int] = []
-    seen = set()
     for e in annihilate:
         if e.space != space:
             raise SpaceMismatchError("annihilated event has the wrong space")
         if e.mask == 0:
             raise ValueError("cannot annihilate the empty event")
-        if e.mask not in seen:
-            seen.add(e.mask)
-            ann_masks.append(e.mask)
+        ann_masks.append(e.mask)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    omega_num = n  # den * mu(Omega) of the projector, 1^T (den I - B X) 1
     if ann_masks:
-        cols = np.stack(
-            [
-                np.array([(m >> i) & 1 for i in range(n)], dtype=np.float64)
-                for m in ann_masks
-            ],
-            axis=1,
+        basis, x, den = span_projector(n, ann_masks)
+        b = np.array(
+            [[(m >> i) & 1 for m in basis] for i in range(n)], dtype=np.float64
         )
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        keep = int((s > 1e-12 * s[0]).sum())
-        q = u[:, :keep]
-        w = w - q @ (q.conj().T @ w)
+        w = w - b @ (np.array(x, dtype=np.float64) @ w) / den
+        omega_num = n * den - sum(
+            m.bit_count() * sum(row) for m, row in zip(basis, x)
+        )
     d = w @ w.conj().T
     if normalize:
-        if ann_masks and span_solve(n, ann_masks, space.full_mask) is not None:
+        if omega_num == 0:
             raise InfeasibleNormalizationError(
                 "the annihilated events force total measure zero"
             )

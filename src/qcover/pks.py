@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
@@ -194,6 +195,16 @@ def orthogonal_structure(rays: Sequence[Ray]) -> OrthogonalStructure:
     return OrthogonalStructure(rays=rays, bases=tuple(bases), pairs=tuple(pairs))
 
 
+@lru_cache(maxsize=1)
+def peres_structure() -> OrthogonalStructure:
+    """``orthogonal_structure(peres_rays())``, built once per process.
+
+    The structure is a frozen dataclass of tuples, so every caller can
+    share the one object.
+    """
+    return orthogonal_structure(peres_rays())
+
+
 @dataclass(frozen=True)
 class Coloring:
     """A total red/green assignment to the 33 rays; bit set = green."""
@@ -234,10 +245,7 @@ class PKSEvent:
 
     @property
     def bits(self) -> int:
-        out = 0
-        for i in self.indices:
-            out |= 1 << i
-        return out
+        return sum(1 << i for i in self.indices)  # the indices are distinct
 
     def contains(self, coloring: Coloring) -> bool:
         if self.kind == "red_basis":
@@ -364,7 +372,7 @@ def search_consistent_coloring(
     A satisfiable outcome reports one witness coloring with every
     unrestricted ray painted red.
     """
-    st = structure if structure is not None else orthogonal_structure(peres_rays())
+    st = structure if structure is not None else peres_structure()
     n = len(st.rays)
     if restrict is None:
         active = list(range(n))
@@ -437,11 +445,7 @@ def search_consistent_coloring(
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     witness = None
     if sat:
-        mask = 0
-        for i, c in color.items():
-            if c == _GREEN:
-                mask |= 1 << i
-        witness = Coloring(mask)
+        witness = Coloring(sum(1 << i for i, c in color.items() if c == _GREEN))
         for b in bases:
             if all(not witness.is_green(r) for r in b):
                 raise ConsistencyError("search returned a coloring with an all-red basis")
@@ -451,12 +455,7 @@ def search_consistent_coloring(
     return SearchOutcome(
         satisfiable=sat,
         coloring=witness,
-        stats=SearchStats(
-            nodes=stats["nodes"],
-            propagations=stats["propagations"],
-            backtracks=stats["backtracks"],
-            elapsed_ms=elapsed_ms,
-        ),
+        stats=SearchStats(**stats, elapsed_ms=elapsed_ms),
     )
 
 
@@ -491,7 +490,7 @@ def witness_check(
     obstruction event, and the family itself is shown pairwise
     incomparable.  Every failed claim raises a consistency error.
     """
-    st = structure if structure is not None else orthogonal_structure(peres_rays())
+    st = structure if structure is not None else peres_structure()
     axis_rays = {
         Ray.canonical(((1, 0), (0, 0), (0, 0))),
         Ray.canonical(((0, 0), (1, 0), (0, 0))),
@@ -505,15 +504,12 @@ def witness_check(
     )
     if basis is None:
         raise ConsistencyError("the coordinate axes do not form a listed basis")
-    b_bits = 0
-    for i in basis.indices:
-        b_bits |= 1 << i
+    basis_event = PKSEvent("red_basis", basis.indices)
     full = (1 << RAY_COUNT) - 1
-    green_outside = Coloring(full & ~b_bits)  # B red, the other 30 green
-    green_inside = Coloring(b_bits)  # B green, the other 30 red
+    green_outside = Coloring(full & ~basis_event.bits)  # B red, the other 30 green
+    green_inside = Coloring(basis_event.bits)  # B green, the other 30 red
 
     events = pks_events(st)
-    basis_event = PKSEvent("red_basis", basis.indices)
     if not basis_event.contains(green_outside):
         raise ConsistencyError("the red-basis event misses its own witness")
 
@@ -591,7 +587,7 @@ def sample_coverage(
     obstruction event (the sampling half of the unsatisfiability story)."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    st = structure if structure is not None else orthogonal_structure(peres_rays())
+    st = structure if structure is not None else peres_structure()
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 1 << RAY_COUNT, size=samples, dtype=np.uint64)
     covered = np.zeros(samples, dtype=bool)

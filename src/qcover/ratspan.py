@@ -2,36 +2,30 @@
 
 Events are 0/1 vectors over the fine-grained histories, so questions like
 "is the all-ones vector a linear combination of these indicators?" have
-exact answers.  Elimination runs fraction-free over Python ints (Bareiss,
-Math. Comp. 22 (1968) 565-578): a row update is ``pv * row - f * pivot_row``
-followed by division by the row's gcd, so entries stay small integers.
-A ``Fraction`` is built only for the final coefficients, and nothing here
-touches floating point.
+exact answers.  One elimination loop serves the span test and the
+orthogonal projectors alike: it runs fraction-free over Python ints
+(Bareiss, Math. Comp. 22 (1968) 565-578), a row update is
+``pv * row - f * pivot_row`` followed by division by the row's gcd, so
+entries stay small integers.  Results are integers over one denominator,
+or a ``Fraction`` per final coefficient; nothing here touches floating
+point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+from .errors import ConsistencyError
 
-def span_solve(
-    n: int, member_masks: Sequence[int], target_mask: int
-) -> Optional[list[Fraction]]:
-    """Solve ``sum_i c_i * chi(member_i) = chi(target)`` over the rationals.
 
-    Returns the coefficient list (free variables pinned to zero) or None
-    when the target is outside the span.  Masks use bit ``i`` for history
-    ``i + 1``.  Columns are eliminated left to right, so the pivots are
-    the first linearly independent members and the coefficients are those
-    of the unique reduced row echelon form.
-    """
-    m = len(member_masks)
-    rows = [
-        [(mask >> bit) & 1 for mask in member_masks] + [(target_mask >> bit) & 1]
-        for bit in range(n)
-    ]
+def _eliminate(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
+    # Gauss-Jordan on the first m columns of the integer rows, in place and
+    # fraction free; returns (row, column) per pivot, pivot rows first.
+    # Columns go left to right, so the pivot columns are the first linearly
+    # independent ones, and every other row is zero in each pivot column.
+    n = len(rows)
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(m):
@@ -51,13 +45,81 @@ def span_solve(
         r += 1
         if r == n:
             break
-    for i in range(r, n):
+    return pivots
+
+
+def span_solve(
+    n: int, member_masks: Sequence[int], target_mask: int
+) -> Optional[list[Fraction]]:
+    """Solve ``sum_i c_i * chi(member_i) = chi(target)`` over the rationals.
+
+    Returns the coefficient list (free variables pinned to zero) or None
+    when the target is outside the span.  Masks use bit ``i`` for history
+    ``i + 1``.  Columns are eliminated left to right, so the pivots are
+    the first linearly independent members and the coefficients are those
+    of the unique reduced row echelon form.
+    """
+    m = len(member_masks)
+    rows = [
+        [(mask >> bit) & 1 for mask in member_masks] + [(target_mask >> bit) & 1]
+        for bit in range(n)
+    ]
+    pivots = _eliminate(rows, m)
+    for i in range(len(pivots), n):
         if rows[i][m]:
             return None
     coeffs = [Fraction(0)] * m
     for pr, pc in pivots:
         coeffs[pc] = Fraction(rows[pr][m], rows[pr][pc])
     return coeffs
+
+
+def span_projector(
+    n: int, member_masks: Sequence[int]
+) -> tuple[list[int], list[list[int]], int]:
+    """The orthogonal projector onto the members' span as ``B X / den``.
+
+    Solves the normal equations (M^T M) X = M^T of the n x m indicator
+    matrix M, free variables at zero.  Any solution gives M^T (I - MX) = 0
+    with MX mapping into the span, so MX is that projector; only the pivot
+    members' rows of X are nonzero.  Returns the pivot members' masks (the
+    columns of B), their rows of X times ``den`` as ints, and ``den`` > 0.
+    """
+    m = len(member_masks)
+    rows = [
+        [(a & b).bit_count() for b in member_masks]
+        + [(a >> bit) & 1 for bit in range(n)]
+        for a in member_masks
+    ]
+    pivots = _eliminate(rows, m)
+    den = lcm(*(rows[pr][pc] for pr, pc in pivots))  # lcm is never negative
+    basis = [member_masks[pc] for _, pc in pivots]
+    x = [[v * (den // rows[pr][pc]) for v in rows[pr][m:]] for pr, pc in pivots]
+    return basis, x, den
+
+
+def complement_projector(
+    n: int, member_masks: Sequence[int]
+) -> tuple[list[list[int]], int]:
+    """The orthogonal projector P onto the complement of the members' span,
+    as ``(num, den)`` with P = num / den and den > 0.
+
+    P = I - MX with MX = B X / den from ``span_projector``, so P equals
+    K (K^T K)^-1 K^T for any basis K of the complement, and K is never
+    formed.  M^T P = 0 is checked in integers before returning; with
+    P = I - MX that makes P symmetric, idempotent and positive
+    semidefinite.
+    """
+    basis, x, den = span_projector(n, member_masks)
+    num = [[den * (i == j) for j in range(n)] for i in range(n)]
+    for mask, xrow in zip(basis, x):
+        for i in range(n):
+            if (mask >> i) & 1:
+                num[i] = [a - v for a, v in zip(num[i], xrow)]
+    for mask in member_masks:
+        if any(map(sum, zip(*(num[i] for i in range(n) if (mask >> i) & 1)))):
+            raise ConsistencyError("complement projector keeps part of a member")
+    return num, den
 
 
 def gf2_rank(member_masks: Iterable[int]) -> int:
