@@ -39,15 +39,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .histories import Event, HistorySpace
-from .measure import (
-    TOL_PSD,
-    TOL_ZERO,
-    identity_suite,
-    load_functional,
-    measure_level,
-    mu,
-    validate,
-)
+from .measure import identity_suite, load_functional, measure_level, mu, validate
 from .pks import (
     peres_rays,
     peres_structure,
@@ -71,9 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, run, *, n=False, seed=False, samples=None, tols=False,
-               workers=False, dmatrix=False, antichain=False, exact=False,
-               k=False):
+    def common(sp, run, *, n=False, seed=False, samples=None, workers=False,
+               dmatrix=False, antichain=False, exact=False, k=False):
         sp.set_defaults(func=run)
         if n:
             sp.add_argument("--n", type=int, required=(n == "required"),
@@ -87,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples,
                             help="number of random samples")
-        if tols:
-            sp.add_argument("--tol-zero", type=float, default=TOL_ZERO,
-                            dest="tol_zero", help="zero-measure tolerance")
-            sp.add_argument("--tol-psd", type=float, default=TOL_PSD,
-                            dest="tol_psd", help="positivity tolerance")
         if workers:
             sp.add_argument("--workers", type=int, default=1,
                             help="parallel worker count")
@@ -108,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write the report here")
 
     sp = sub.add_parser("identities", help="randomized identity suite")
-    common(sp, _run_identities, n=4, seed=True, samples=100, tols=True)
+    common(sp, _run_identities, n=4, seed=True, samples=100)
 
     sp = sub.add_parser("validate", help="validate a functional")
-    common(sp, _run_validate, dmatrix=True, tols=True, k=True)
+    common(sp, _run_validate, dmatrix=True, k=True)
 
     sp = sub.add_parser("measure", help="measures of events under a functional")
-    common(sp, _run_measure, dmatrix=True, antichain=True, tols=True, k=True)
+    common(sp, _run_measure, dmatrix=True, antichain=True, k=True)
 
     sp = sub.add_parser("cover-check", help="exact quantum-cover decision")
     common(sp, _run_cover_check, antichain="required")
@@ -123,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _run_scan, n="required", workers=True)
 
     sp = sub.add_parser("coevents", help="preclusion structure of a functional")
-    common(sp, _run_coevents, dmatrix=True, tols=True, exact=True)
+    common(sp, _run_coevents, dmatrix=True, exact=True)
 
     ap = sub.add_parser("antichain", help="antichain utilities")
     asub = ap.add_subparsers(dest="sub", required=True)
@@ -161,14 +147,13 @@ def _load_event_family(path: str) -> tuple[HistorySpace, list[Event]]:
 
 
 def _run_identities(args) -> dict:
-    rep = identity_suite(args.n, args.samples, args.seed, tol_zero=args.tol_zero)
+    rep = identity_suite(args.n, args.samples, args.seed)
     return rep.to_json()
 
 
 def _run_validate(args) -> dict:
     d = load_functional(args.dmatrix)
-    rep = validate(d, tol_psd=args.tol_psd, tol_zero=args.tol_zero,
-                   max_level=args.k)
+    rep = validate(d, max_level=args.k)
     return rep.to_json()
 
 
@@ -190,7 +175,7 @@ def _run_measure(args) -> dict:
             {"event": e.to_json(), "mu": mu(d, e)} for e in events
         ]
     if args.k is not None:
-        out["level"] = measure_level(d, args.k, tol_zero=args.tol_zero)
+        out["level"] = measure_level(d, args.k)
     return out
 
 
@@ -208,13 +193,13 @@ def _run_scan(args) -> dict:
 def _run_coevents(args) -> dict:
     d = load_functional(args.dmatrix)
     try:
-        ps = derived_antichain(d, tol_zero=args.tol_zero, exact=args.exact)
+        ps = derived_antichain(d, exact=args.exact)
     except NoCoeventError as exc:
         return {"no_coevent": True, "detail": str(exc)}
     out = ps.to_json()
     out["no_coevent"] = False
     try:
-        ev = nontriviality(d, tol_zero=args.tol_zero, tol_psd=args.tol_psd)
+        ev = nontriviality(d)
         out["nontriviality"] = ev.to_json()
     except (ValueError, NoCoeventError, ConsistencyError) as exc:
         out["nontriviality"] = None

@@ -25,7 +25,7 @@ import numpy as np
 from .antichain import Antichain, _antichain_unchecked, is_inextendible
 from .errors import ConsistencyError, NoCoeventError, ResourceLimitError
 from .histories import Event, subset_closure
-from .measure import TOL_PSD, TOL_ZERO, DecoherenceFunctional, mu, mu_table
+from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
 
 COEVENT_MAX_N = 12
 
@@ -59,9 +59,9 @@ class PreclusionStructure:
         }
 
 
-def _zero_flags(d: DecoherenceFunctional, tol_zero: float, exact: bool) -> np.ndarray:
+def _zero_flags(d: DecoherenceFunctional, exact: bool) -> np.ndarray:
     # zero[m] flags the nonempty events of measure zero
-    zero = _exact_zero_flags(d) if exact else mu_table(d) <= tol_zero
+    zero = _exact_zero_flags(d) if exact else mu_table(d) <= TOL_ZERO * d.scale
     zero[0] = False
     return zero
 
@@ -98,29 +98,28 @@ def _masks(flags: np.ndarray) -> list[int]:
     return np.flatnonzero(flags).tolist()
 
 
-def zero_sets(
-    d: DecoherenceFunctional, *, tol_zero: float = TOL_ZERO, exact: bool = False
-) -> frozenset[Event]:
+def zero_sets(d: DecoherenceFunctional, *, exact: bool = False) -> frozenset[Event]:
     """All nonempty events of measure zero.
 
     With ``exact=True`` the entries are read as exact dyadic rationals,
     rescaled to integers over one common power-of-two denominator, and
     an event counts only when its integer measure vanishes; that takes
-    O(2^n) integer additions.  Otherwise any measure at most
-    ``tol_zero`` counts.
+    O(2^n) integer additions.  Otherwise the zero rule of
+    ``qcover.measure`` applies: any measure at most ``TOL_ZERO * d.scale``
+    counts, so scaling D by a positive constant moves no zero set.
     """
     _check_size(d, "zero-set enumeration")
-    zero = _zero_flags(d, tol_zero, exact)
+    zero = _zero_flags(d, exact)
     return frozenset(d.space.event_from_mask(m) for m in _masks(zero))
 
 
 def _preclusion_flags(
-    d: DecoherenceFunctional, tol_zero: float, exact: bool
+    d: DecoherenceFunctional, exact: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flag arrays over all masks: the zero sets, the minimal unmarked
     events (the supports) and the up-closure of the supports."""
     _check_size(d, "preclusion analysis")
-    zero = _zero_flags(d, tol_zero, exact)
+    zero = _zero_flags(d, exact)
     marked = subset_closure(zero, "down")
     marked[0] = True
     if marked[-1]:
@@ -138,16 +137,14 @@ def _preclusion_flags(
     return zero, minimal, in_up
 
 
-def ppc_supports(
-    d: DecoherenceFunctional, *, tol_zero: float = TOL_ZERO, exact: bool = False
-) -> Antichain:
+def ppc_supports(d: DecoherenceFunctional, *, exact: bool = False) -> Antichain:
     """Minimal nonempty events contained in no zero set.
 
     These are the supports of the primitive preclusive multiplicative
     coevents.  Raises a no-coevent error when the whole space itself has
     measure zero, since then everything is precluded.
     """
-    _, minimal, _ = _preclusion_flags(d, tol_zero, exact)
+    _, minimal, _ = _preclusion_flags(d, exact)
     return _antichain_unchecked(d.space, _masks(minimal))
 
 
@@ -157,7 +154,7 @@ def _maximal(sel: np.ndarray) -> np.ndarray:
 
 
 def derived_antichain(
-    d: DecoherenceFunctional, *, tol_zero: float = TOL_ZERO, exact: bool = False
+    d: DecoherenceFunctional, *, exact: bool = False
 ) -> PreclusionStructure:
     """Extend the coevent supports to an inextendible antichain.
 
@@ -167,7 +164,7 @@ def derived_antichain(
     verified inextendible, and every zero set is verified to lie under
     some derived element.  Any failed check raises a consistency error.
     """
-    zero, minimal, in_up = _preclusion_flags(d, tol_zero, exact)
+    zero, minimal, in_up = _preclusion_flags(d, exact)
     space = d.space
 
     sel_off = ~in_up
@@ -212,40 +209,36 @@ def derived_antichain(
     )
 
 
-def nontriviality(
-    d: DecoherenceFunctional,
-    *,
-    tol_zero: float = TOL_ZERO,
-    tol_psd: float = TOL_PSD,
-) -> Event:
+def nontriviality(d: DecoherenceFunctional) -> Event:
     """A coatom (cardinality n-1 event) of strictly positive measure.
 
     Strong positivity plus positive total measure guarantee one exists,
     so a miss is reported as an internal error.  Returns the coatom of
-    largest measure, ties broken by smallest mask.  The guarantee is
-    numerically meaningful when the total measure clears tol_zero with
-    some margin.
+    largest measure, ties broken by smallest mask.  Positivity and
+    "zero" follow the zero rule of ``qcover.measure``: the smallest
+    eigenvalue may fall below zero by ``TOL_ZERO`` times the largest
+    eigenvalue magnitude, and a measure at most ``TOL_ZERO * d.scale``
+    counts as zero.  Every coatom measure comes from one closed form,
+    mu(Omega minus i) = mu(Omega) - 2 Re sum_j D_ij + D_ii.
     """
     space = d.space
     n = space.n
     if n < 2:
         raise ValueError("nontriviality needs at least two histories")
     w = np.linalg.eigvalsh(d.entries)
-    if float(w[0]) < -tol_psd * max(1.0, float(w[-1])):
+    if float(w[0]) < -TOL_ZERO * float(np.abs(w).max()):
         raise ValueError("nontriviality requires a strongly positive functional")
-    if mu(d, space.omega()) <= tol_zero:
+    tol = TOL_ZERO * d.scale
+    m = d.entries.real
+    total = float(m.sum())
+    if total <= tol:
         raise NoCoeventError("total measure is zero; every coatom may vanish")
-    best_mask = 0
-    best_mu = -np.inf
-    full = space.full_mask
-    for i in range(n - 1, -1, -1):
-        m = full ^ (1 << i)
-        val = mu(d, space.event_from_mask(m))
-        if val > best_mu:
-            best_mu = val
-            best_mask = m
-    if best_mu <= tol_zero:
+    # coatom i drops label i; reversed, the coatoms run in ascending mask
+    # order, and argmax keeps the first, smallest, mask of a tie
+    coatoms = (total - 2.0 * m.sum(axis=1) + np.diag(m))[::-1]
+    best = int(np.argmax(coatoms))
+    if coatoms[best] <= tol:
         raise ConsistencyError(
             "no coatom carries positive measure despite strong positivity"
         )
-    return space.event_from_mask(best_mask)
+    return space.event_from_mask(space.full_mask ^ (1 << (n - 1 - best)))

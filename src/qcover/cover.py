@@ -305,9 +305,7 @@ class LevelSumReport(JsonRecord):
     inequality_ok: bool
 
 
-def level_sum_check(
-    d: DecoherenceFunctional, k: int, *, tol_zero: float = TOL_ZERO
-) -> LevelSumReport:
+def level_sum_check(d: DecoherenceFunctional, k: int) -> LevelSumReport:
     """Compare sum of mu over level k with its closed form
     C(n-2, k-2) * (mu(Omega) + (n-k)/(k-1) * sum_i mu(A_i)) and test the
     classical-cover inequality (level sum >= mu(Omega), needing strong
@@ -332,5 +330,5 @@ def level_sum_check(
         mu_omega=mu_omega,
         singles_sum=singles_sum,
         inequality_slack=slack,
-        inequality_ok=slack >= -tol_zero * d.scale * math.comb(n, k),
+        inequality_ok=slack >= -TOL_ZERO * d.scale * math.comb(n, k),
     )

@@ -29,8 +29,9 @@ from .errors import (
 from .histories import Event, HistorySpace, JsonRecord
 from .ratspan import span_projector
 
-TOL_HERM = 1e-9
-TOL_PSD = 1e-9
+# the one zero rule: a measure-like quantity counts as zero when it is at
+# most TOL_ZERO * d.scale, D's largest entry magnitude.  Multiplying D by a
+# positive constant scales both sides alike, so no zero set moves with units.
 TOL_ZERO = 1e-9
 
 # per-event tables enumerate all 2^n events
@@ -46,13 +47,13 @@ class DecoherenceFunctional:
     """Immutable Hermitian matrix over the fine-grained histories.
 
     Construction rejects matrices whose Hermiticity residual exceeds
-    ``tol_herm`` relative to the largest entry magnitude, unless
+    ``TOL_ZERO`` times the largest entry magnitude, unless
     ``hermitize=True`` asks for symmetrisation ``(D + D^H) / 2``.
     """
 
-    __slots__ = ("_entries", "_space", "_max_abs")
+    __slots__ = ("_entries", "_space", "_scale")
 
-    def __init__(self, entries, *, tol_herm: float = TOL_HERM, hermitize: bool = False):
+    def __init__(self, entries, *, hermitize: bool = False):
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
@@ -60,22 +61,17 @@ class DecoherenceFunctional:
         space = HistorySpace(n)  # also enforces 1 <= n <= 24
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("matrix entries must be finite")
-        max_abs = float(np.abs(arr).max()) if n else 0.0
         residual = float(np.abs(arr - arr.conj().T).max())
-        if residual > tol_herm * max(1.0, max_abs):
-            if hermitize:
-                arr = (arr + arr.conj().T) / 2.0
-            else:
-                raise ValueError(
-                    f"matrix is not Hermitian: residual {residual:.3e} exceeds"
-                    f" tolerance (pass hermitize=True to symmetrise)"
-                )
-        else:
-            arr = (arr + arr.conj().T) / 2.0  # exact Hermitian storage
+        if residual > TOL_ZERO * float(np.abs(arr).max()) and not hermitize:
+            raise ValueError(
+                f"matrix is not Hermitian: residual {residual:.3e} exceeds"
+                f" tolerance (pass hermitize=True to symmetrise)"
+            )
+        arr = (arr + arr.conj().T) / 2.0  # exact Hermitian storage
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
         object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_max_abs", float(np.abs(arr).max()))
+        object.__setattr__(self, "_scale", float(np.abs(arr).max()))
 
     def __setattr__(self, name, value):
         raise AttributeError("DecoherenceFunctional is immutable")
@@ -93,12 +89,9 @@ class DecoherenceFunctional:
         return self._entries
 
     @property
-    def max_abs(self) -> float:
-        return self._max_abs
-
-    @property
     def scale(self) -> float:
-        return max(1.0, self._max_abs)
+        """Largest entry magnitude, the unit of the zero rule."""
+        return self._scale
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,8 +116,9 @@ class DecoherenceFunctional:
         }
 
     @classmethod
-    def from_json(cls, data: dict, *, hermitize: bool = False,
-                  tol_herm: float = TOL_HERM) -> "DecoherenceFunctional":
+    def from_json(
+        cls, data: dict, *, hermitize: bool = False
+    ) -> "DecoherenceFunctional":
         n = int(data["n"])
         rows = data["entries"]
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -133,7 +127,7 @@ class DecoherenceFunctional:
             [[complex(cell[0], cell[1]) for cell in row] for row in rows],
             dtype=np.complex128,
         )
-        return cls(arr, hermitize=hermitize, tol_herm=tol_herm)
+        return cls(arr, hermitize=hermitize)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecoherenceFunctional(n={self.n})"
@@ -149,14 +143,10 @@ def save_functional(d: DecoherenceFunctional, path: str) -> None:
         fh.write("\n")
 
 
-def load_functional(
-    path: str, *, hermitize: bool = False, tol_herm: float = TOL_HERM
-) -> DecoherenceFunctional:
+def load_functional(path: str, *, hermitize: bool = False) -> DecoherenceFunctional:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return DecoherenceFunctional.from_json(
-        data, hermitize=hermitize, tol_herm=tol_herm
-    )
+    return DecoherenceFunctional.from_json(data, hermitize=hermitize)
 
 
 def _check_event(d: DecoherenceFunctional, a: Event) -> None:
@@ -180,10 +170,10 @@ def d_of(d: DecoherenceFunctional, a: Event, b: Event) -> complex:
     return complex(d.entries[np.ix_(ia, ib)].sum())
 
 
-def mu(d: DecoherenceFunctional, a: Event, *, tol_herm: float = TOL_HERM) -> float:
+def mu(d: DecoherenceFunctional, a: Event) -> float:
     """The quantum measure mu(A) = D(A, A), real for Hermitian D."""
     val = d_of(d, a, a)
-    if abs(val.imag) > tol_herm * d.scale * d.n * d.n:
+    if abs(val.imag) > TOL_ZERO * d.scale * d.n * d.n:
         raise ConsistencyError(
             f"diagonal block sum has imaginary residue {val.imag:.3e}"
         )
@@ -211,9 +201,7 @@ def mu_table(d: DecoherenceFunctional) -> np.ndarray:
     return ((x @ m) * x).sum(axis=1)
 
 
-def interference(
-    d: DecoherenceFunctional, parts: Sequence[Event], *, tol_herm: float = TOL_HERM
-) -> float:
+def interference(d: DecoherenceFunctional, parts: Sequence[Event]) -> float:
     """Alternating inclusion-exclusion of mu over the given disjoint parts.
 
     With m parts this is sum over nonempty subfamilies S of
@@ -240,7 +228,7 @@ def interference(
     space = parts[0].space
     return _inclusion_exclusion(
         [p.mask for p in parts],
-        lambda mask: mu(d, Event(mask, space), tol_herm=tol_herm),
+        lambda mask: mu(d, Event(mask, space)),
     )
 
 
@@ -288,19 +276,19 @@ def measure_level(
     max_k: int,
     *,
     budget: int = 500_000,
-    tol_zero: float = TOL_ZERO,
 ) -> Optional[int]:
     """Smallest k <= max_k with vanishing (k+1)-part interference.
 
-    Checks every unordered family of k+1 pairwise disjoint nonempty events,
-    so the cost is combinatorial; ``budget`` caps the number of families
-    inspected before a resource error is raised.  Returns None when no
-    k <= max_k qualifies.
+    An interference vanishes under the zero rule: its magnitude is at most
+    ``TOL_ZERO * d.scale``.  Checks every unordered family of k+1 pairwise
+    disjoint nonempty events, so the cost is combinatorial; ``budget`` caps
+    the number of families inspected before a resource error is raised.
+    Returns None when no k <= max_k qualifies.
     """
     if not 1 <= max_k <= d.n:
         raise ValueError(f"max_k must be in 1..{d.n}, got {max_k}")
     table = mu_table(d)
-    tol = tol_zero * d.scale
+    tol = TOL_ZERO * d.scale
     spent = 0
     for k in range(1, max_k + 1):
         clean = True
@@ -358,7 +346,6 @@ def sample_spd(
     annihilate: Iterable[Event] = (),
     *,
     normalize: bool = False,
-    tol_zero: float = TOL_ZERO,
 ) -> DecoherenceFunctional:
     """Random strongly positive functional with prescribed null events.
 
@@ -401,7 +388,7 @@ def sample_spd(
                 "the annihilated events force total measure zero"
             )
         total = float(d.sum().real)
-        if total <= tol_zero:
+        if total <= TOL_ZERO * float(np.abs(d).max()):
             raise InfeasibleNormalizationError(
                 f"sampled total measure {total:.3e} is below tolerance"
             )
@@ -504,17 +491,15 @@ class IdentitySuiteReport(JsonRecord):
     kernel_disagreements: int
 
 
-def _kernel_disagreements(
-    d: DecoherenceFunctional, table: np.ndarray, tol_zero: float
-) -> int:
+def _kernel_disagreements(d: DecoherenceFunctional, table: np.ndarray) -> int:
     # null events of a positive semidefinite functional are exactly the
     # indicator vectors in its kernel; both sides checked with matched
-    # tolerances (lambda_max <= trace for PSD matrices)
+    # tolerances: |D x|^2 <= lambda_max mu(x) and lambda_max <= trace
     x = _indicator_matrix(d.n)
     norms = np.linalg.norm(d.entries @ x.T, axis=0)
     trace = float(d.entries.trace().real)
-    tol_norm = math.sqrt(tol_zero * max(1.0, trace))
-    null_by_mu = table <= tol_zero * d.scale
+    tol_norm = math.sqrt(TOL_ZERO * d.scale * trace)
+    null_by_mu = table <= TOL_ZERO * d.scale
     null_by_kernel = norms <= tol_norm
     return int(np.count_nonzero(null_by_mu != null_by_kernel))
 
@@ -525,7 +510,6 @@ def identity_suite(
     seed: int,
     *,
     rank: Optional[int] = None,
-    tol_zero: float = TOL_ZERO,
 ) -> IdentitySuiteReport:
     """Run the randomized identity and inequality checks.
 
@@ -588,7 +572,7 @@ def identity_suite(
         min_lower = min(min_lower, float((mu_ab - (root_a - root_b) ** 2).min()))
         min_upper = min(min_upper, float(((root_a + root_b) ** 2 - mu_ab).min()))
 
-        kernel_bad += _kernel_disagreements(d, table, tol_zero)
+        kernel_bad += _kernel_disagreements(d, table)
 
         rng = np.random.default_rng((seed, i, 1))
         am, bm = _random_disjoint_pair(rng, n)
@@ -601,7 +585,7 @@ def identity_suite(
         max_pair_zero = max(
             max_pair_zero, abs(mu(d_pair, ev_a) - mu(d_pair, ev_b))
         )
-        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair), tol_zero)
+        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair))
 
         d_single = sample_spd(n, r, (seed, i, 3), annihilate=[ev_a])
         max_single_zero = max(
@@ -642,36 +626,41 @@ class ValidationReport(JsonRecord):
 def validate(
     d: DecoherenceFunctional,
     *,
-    tol_herm: float = TOL_HERM,
-    tol_psd: float = TOL_PSD,
-    tol_zero: float = TOL_ZERO,
     weak_max_n: int = 12,
     max_level: Optional[int] = None,
     level_budget: int = 500_000,
 ) -> ValidationReport:
     """Check Hermiticity, strong and weak positivity, and normalization.
 
-    Weak positivity (every event measure nonnegative) enumerates all 2^n
-    events and is only attempted for n <= ``weak_max_n``; pass
-    ``max_level`` to also locate the interference level.
+    Each check takes one bound relative to D's own size, so scaling D by
+    a positive constant moves no verdict but ``normalized``: the
+    Hermiticity residual against ``TOL_ZERO * d.scale``, the smallest
+    eigenvalue against ``TOL_ZERO`` times the largest eigenvalue
+    magnitude, and the smallest event measure against n times that.
+    ``normalized`` compares mu(Omega) with its target 1, so its bound is
+    ``TOL_ZERO`` itself.  Weak positivity (every event measure
+    nonnegative) enumerates all 2^n events and is only attempted for
+    n <= ``weak_max_n``; pass ``max_level`` to also locate the
+    interference level.
     """
     arr = d.entries
     herm_residual = float(np.abs(arr - arr.conj().T).max())
-    hermitian = herm_residual <= tol_herm * d.scale
+    hermitian = herm_residual <= TOL_ZERO * d.scale
     eigs = np.linalg.eigvalsh(arr)
-    spectral = max(1.0, float(np.abs(eigs).max()))
-    strongly = bool(eigs[0] >= -tol_psd * spectral)
+    spectral = float(np.abs(eigs).max())
+    strongly = bool(eigs[0] >= -TOL_ZERO * spectral)
     weakly: Optional[bool] = None
     min_measure: Optional[float] = None
     if d.n <= weak_max_n:
         table = mu_table(d)
         min_measure = float(table.min())
-        weakly = bool(min_measure >= -tol_psd * spectral * d.n)
+        weakly = bool(min_measure >= -TOL_ZERO * spectral * d.n)
     total = float(arr.sum().real)
-    normalized = abs(total - 1.0) <= tol_zero * d.scale
+    # the unit of this comparison is its target, 1, not the scale of D
+    normalized = abs(total - 1.0) <= TOL_ZERO
     level = None
     if max_level is not None:
-        level = measure_level(d, max_level, budget=level_budget, tol_zero=tol_zero)
+        level = measure_level(d, max_level, budget=level_budget)
     return ValidationReport(
         n=d.n,
         hermitian=hermitian,

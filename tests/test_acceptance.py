@@ -222,7 +222,7 @@ class TestPreclusion:
         assert labelsets(ps.derived.elements) == {
             frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})
         }
-        assert is_inextendible(ps.derived)
+        assert is_inextendible(ps.derived) == (True, None)
 
     def test_nontriviality_on_seeded_functionals(self):
         for i in range(200):

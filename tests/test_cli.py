@@ -210,6 +210,15 @@ class TestExitCodes:
         assert main(["scan", "--n", "3", "--bogus"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-psd"])
+    def test_no_tolerance_flags(self, capsys, d3_path, flag):
+        # zero is decided relative to D's own scale; there is no knob
+        for argv in (["identities"], ["validate", "--dmatrix", d3_path],
+                     ["measure", "--dmatrix", d3_path],
+                     ["coevents", "--dmatrix", d3_path]):
+            assert main([*argv, flag, "1e-9"]) == 2
+        capsys.readouterr()
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

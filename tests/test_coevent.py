@@ -95,7 +95,8 @@ class TestZeroSets:
 
     def test_exact_mode_matches_fraction_reference(self):
         # dyadic scales far below and above the float tolerance, and real
-        # parts made asymmetric by 2^-45 (relative) within tol_herm
+        # parts made asymmetric by 2^-45 (relative) within the zero rule
+        # (TOL_ZERO * d.scale)
         rng = random.Random(2024)
         found = 0
         for n in range(3, 11):
@@ -239,7 +240,30 @@ class TestDerived:
         assert data["ppc_supports"] == [[1, 3]]
 
 
+def reference_nontriviality(d):
+    """The coatom of largest measure, smallest mask first, by one mu call
+    per coatom."""
+    space = d.space
+    coatoms = sorted(space.full_mask ^ (1 << i) for i in range(d.n))
+    vals = [mu(d, space.event_from_mask(m)) for m in coatoms]
+    return coatoms[vals.index(max(vals))]
+
+
 class TestNontriviality:
+    def test_matches_mu_loop_reference(self):
+        rng = random.Random(11)
+        cases = [sample_spd(n, rank, (5, n, rank), normalize=True)
+                 for n in range(2, 11) for rank in (1, 2, n)]
+        for n in range(3, 11):
+            w = integer_w(rng, n, rank=rng.randint(1, 3))
+            cases += [DecoherenceFunctional(w @ w.T * 2.0**e)
+                      for e in (-40, 0, 30)]
+        # a classical functional ties every coatom; a graded one ranks them
+        cases += [DecoherenceFunctional(np.diag([1.0] * 5)),
+                  DecoherenceFunctional(np.diag([3.0, 1.0, 2.0, 1.0]))]
+        for d in cases:
+            assert nontriviality(d).mask == reference_nontriviality(d)
+
     def test_three_slit(self, d3):
         ev = nontriviality(d3)
         assert sorted(ev.labels) == [1, 3]

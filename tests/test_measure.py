@@ -230,6 +230,18 @@ class TestValidate:
         assert not rep.weakly_positive
         assert rep.min_measure == pytest.approx(-2.0)
 
+    def test_normalized_with_small_entries(self):
+        # entries near 1e-3 put TOL_ZERO * d.scale near 1e-12; a total
+        # that is off 1 by 5e-10 (about 10 significant digits) still
+        # counts as normalized, and one off by 5e-9 does not
+        n = 12
+        base = np.full((n, n), 1.0 / (n * n))
+        for off, want in ((5e-10, True), (5e-9, False)):
+            arr = base.copy()
+            arr[0, 0] += off
+            rep = validate(DecoherenceFunctional(arr), weak_max_n=0)
+            assert rep.normalized is want
+
     def test_diagonal_classical(self, diag4):
         rep = validate(diag4, max_level=2)
         assert rep.strongly_positive and rep.weakly_positive
@@ -296,7 +308,7 @@ def _reference_families(n, m):
     return tuple(np.ascontiguousarray(col) for col in fams.reshape(-1, m).T)
 
 
-def _reference_identity_suite(n, samples, seed, tol_zero=TOL_ZERO):
+def _reference_identity_suite(n, samples, seed):
     """The identity suite over a full 2^n x 2^n table of block sums."""
     x = _indicator_matrix(n)
     pa, pb = _reference_families(n, 2)
@@ -327,7 +339,7 @@ def _reference_identity_suite(n, samples, seed, tol_zero=TOL_ZERO):
         root_a, root_b = np.sqrt(mu_a), np.sqrt(mu_b)
         min_lower = min(min_lower, float((mu_ab - (root_a - root_b) ** 2).min()))
         min_upper = min(min_upper, float(((root_a + root_b) ** 2 - mu_ab).min()))
-        kernel_bad += _kernel_disagreements(d, table, tol_zero)
+        kernel_bad += _kernel_disagreements(d, table)
 
         rng = np.random.default_rng((seed, i, 1))
         am, bm = _random_disjoint_pair(rng, n)
@@ -337,7 +349,7 @@ def _reference_identity_suite(n, samples, seed, tol_zero=TOL_ZERO):
         d_pair = sample_spd(n, n, (seed, i, 2), annihilate=[ev_ab])
         max_pair_zero = max(max_pair_zero,
                             abs(mu(d_pair, ev_a) - mu(d_pair, ev_b)))
-        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair), tol_zero)
+        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair))
         d_single = sample_spd(n, n, (seed, i, 3), annihilate=[ev_a])
         max_single_zero = max(max_single_zero,
                               abs(mu(d_single, ev_ab) - mu(d_single, ev_b)))
