@@ -38,7 +38,7 @@ from .errors import (
     ResourceLimitError,
     SpaceMismatchError,
 )
-from .histories import Event, HistorySpace
+from .histories import Event, HistorySpace, _write_json
 from .measure import identity_suite, load_functional, measure_level, mu, validate
 from .pks import (
     peres_rays,
@@ -304,10 +304,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _write_envelope(envelope: dict, fh: TextIO) -> None:
-    # written chunk by chunk: an n=6 scan report is about 20 MB of text,
-    # and joining it into one string would hold millions of chunks at
-    # once, about 75 MB at the peak
-    json.dump(envelope, fh, indent=2, sort_keys=True)
+    # the bytes of json.dump(envelope, fh, indent=2, sort_keys=True) and a
+    # newline, streamed by one writer that joins each list of ints in one
+    # call: json.dump's pure-Python indenting encoder took longer over an
+    # n = 6 scan report (about 20 MB of text) than the scan itself
+    _write_json(envelope, fh.write)
     fh.write("\n")
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -49,6 +50,76 @@ def _json_value(value):
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
+
+
+_INT_ONLY = frozenset((int,))
+_LITERALS = {None: "null", True: "true", False: "false"}
+# json's spellings of the floats that float.__repr__ writes as nan and inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(obj, write: Callable[[str], object], ind: str = "",
+                lead: str = "") -> None:
+    """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)``.
+
+    The bytes are the same, and ``write`` is ``fh.write``.  Dicts go out
+    key by key and lists item by item, so no more than one leaf's text is
+    held at a time: an n = 6 scan report is about 20 MB of text.  ``lead``
+    (a separator, a key) goes out in one write with the value's first
+    chunk.  A list of exact ints is joined in one call, which is most of
+    that report.  Types are tested as ``json`` tests them, so ``True``
+    prints ``true`` and a float subclass prints as a float.  Unsupported
+    values and non-``str`` keys raise TypeError.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            write(lead + "[]")
+            return
+        inner = ind + "  "
+        sep = ",\n" + inner
+        if _INT_ONLY.issuperset(map(type, obj)):
+            write(f"{lead}[\n{inner}{sep.join(map(int.__repr__, obj))}\n{ind}]")
+            return
+        deeper = inner + "  "
+        deeper_sep = ",\n" + deeper
+        head = f"{lead}[\n{inner}"
+        for value in obj:
+            # the int-list case above, without a call: an n = 6 scan
+            # report has 255,475 label lists inside lists
+            if (type(value) is list and value
+                    and _INT_ONLY.issuperset(map(type, value))):
+                text = deeper_sep.join(map(int.__repr__, value))
+                write(f"{head}[\n{deeper}{text}\n{inner}]")
+            else:
+                _write_json(value, write, inner, head)
+            head = sep
+        write(f"\n{ind}]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write(lead + "{}")
+            return
+        inner = ind + "  "
+        sep = ",\n" + inner
+        head = f"{lead}{{\n{inner}"
+        for key in sorted(obj):
+            # encode_basestring_ascii raises TypeError on a non-str key
+            _write_json(obj[key], write, inner,
+                        f"{head}{encode_basestring_ascii(key)}: ")
+            head = sep
+        write(f"\n{ind}}}")
+    elif isinstance(obj, str):
+        write(lead + encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write(lead + _LITERALS[obj])
+    elif isinstance(obj, int):
+        write(lead + int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        write(lead + _NON_FINITE.get(text, text))
+    else:
+        raise TypeError(
+            f"Object of type {obj.__class__.__name__} is not JSON serializable"
+        )
 
 
 @dataclass(frozen=True)

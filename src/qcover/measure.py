@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     SpaceMismatchError,
 )
-from .histories import Event, HistorySpace, JsonRecord
+from .histories import Event, HistorySpace, JsonRecord, _write_json
 from .ratspan import span_projector
 
 # the one zero rule: a measure-like quantity counts as zero when it is at
@@ -139,7 +139,7 @@ def _rebuild_functional(arr):
 
 def save_functional(d: DecoherenceFunctional, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d.to_json(), fh, indent=2, sort_keys=True)
+        _write_json(d.to_json(), fh.write)
         fh.write("\n")
 
 
@@ -269,6 +269,30 @@ def _disjoint_families(n: int, m: int) -> Iterator[tuple[int, ...]]:
             masks[b] &= ~bit
 
     yield from walk(0, 0)
+
+
+def _disjoint_family_array(n: int, m: int) -> np.ndarray:
+    # the rows of _disjoint_families(n, m) in its order, built one label at
+    # a time over whole arrays.  A partial family is one int holding block
+    # b in bits b*n .. b*n + n - 1; each label is tried in no block, then in
+    # blocks 0, 1, ..., as the generator's walk tries it, so the families
+    # keep the walk's order.  Block b opens only after blocks 0..b-1.
+    if n * m > 62:
+        raise ResourceLimitError("disjoint families are packed in 62 bits")
+    put = np.array([0] + [1 << (b * n) for b in range(m)], dtype=np.int64)
+    digits = np.arange(m + 1)
+    packed = np.zeros(1, dtype=np.int64)
+    opened = np.zeros(1, dtype=np.int64)
+    for label in range(n):
+        now = np.maximum(opened[:, None], digits)
+        keep = digits <= opened[:, None] + 1
+        packed = (packed[:, None] | (put << label))[keep]
+        opened = now[keep]
+    packed = packed[opened == m]
+    fams = np.empty((packed.size, m), dtype=np.int64)
+    for b in range(m):
+        np.bitwise_and(packed >> (b * n), (1 << n) - 1, out=fams[:, b])
+    return fams
 
 
 def measure_level(
@@ -424,7 +448,7 @@ class _SuitePlan:
 @lru_cache(maxsize=16)
 def _suite_plan(n: int) -> _SuitePlan:
     h = n // 2
-    a, b = np.array(list(_disjoint_families(n, 2)), dtype=np.int64).T.copy()
+    a, b = _disjoint_family_array(n, 2).T.copy()
     cross_lo = (a << h) | (b & ((1 << h) - 1))
     cross_hi = (a << (n - h)) | (b >> h)
     # a disjoint pair (A, B) is named by the ternary number with digit 1 on
@@ -435,8 +459,7 @@ def _suite_plan(n: int) -> _SuitePlan:
     ids = np.arange(a.size, dtype=np.int64)
     pair_id[tern[a] + 2 * tern[b]] = ids
     pair_id[tern[b] + 2 * tern[a]] = ids
-    triples = np.array(list(_disjoint_families(n, 3)), dtype=np.int64)
-    ta, tb, tc = triples.reshape(-1, 3).T
+    ta, tb, tc = _disjoint_family_array(n, 3).T
     triple_pairs = np.stack([
         pair_id[tern[ta | tb] + 2 * tern[tc]],
         pair_id[tern[ta] + 2 * tern[tc]],

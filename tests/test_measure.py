@@ -29,6 +29,7 @@ from qcover import (
 from qcover.measure import (
     TOL_ZERO,
     _disjoint_families,
+    _disjoint_family_array,
     _inclusion_exclusion,
     _indicator_matrix,
     _kernel_disagreements,
@@ -435,3 +436,28 @@ class TestIdentitySuitePlan:
             tracemalloc.stop()
         # the 2^10 x 2^10 complex table alone would take 16 MB
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_family_arrays_follow_the_generator(self, m):
+        # the same families in the same order and orientation, so the
+        # plan's pair and triple arrays and every identities report stay
+        # the same bits
+        for n in range(0, 10):
+            want = np.array(list(_disjoint_families(n, m)), dtype=np.int64)
+            got = _disjoint_family_array(n, m)
+            assert got.shape == (len(want), m)
+            assert np.array_equal(got, want.reshape(-1, m))
+
+    def test_plan_at_the_cap_builds_on_masks(self):
+        tracemalloc.start()
+        try:
+            plan = _suite_plan.__wrapped__(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (plan.pair_a, plan.pair_b, plan.cross_lo,
+                                      plan.cross_hi, plan.triple_pairs))
+        # measured: 12.1 MB for a 4.4 MB plan; the tuples of the recursive
+        # generator took 25 MB, and a pair x event intermediate would be
+        # 28,501 x 1024 x 8 bytes, 233 MB
+        assert peak < 4 * size
