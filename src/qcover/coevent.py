@@ -11,9 +11,9 @@ up every zero-measure event.
 
 Every pass works on flag arrays indexed by mask: marking, the minimal
 and maximal selections and the closures each take one OR zeta transform
-over the subset lattice (``histories.subset_closure``).  Exact mode reads
-the real entries as dyadic rationals over one common power-of-two
-denominator and sums them as integers, O(2^n) additions per functional.
+over the subset lattice (``histories.subset_closure``).  Measures come
+from the recurrence behind ``measure.mu_table``, in exact mode over the
+real entries as dyadic integers on one power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .antichain import Antichain, _antichain_unchecked, is_inextendible
 from .errors import ConsistencyError, NoCoeventError, ResourceLimitError
 from .histories import Event, subset_closure
-from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
+from .measure import TOL_ZERO, DecoherenceFunctional, _measure_table, mu_table
 
 COEVENT_MAX_N = 12
 
@@ -60,31 +60,25 @@ class PreclusionStructure:
 
 
 def _zero_flags(d: DecoherenceFunctional, exact: bool) -> np.ndarray:
-    # zero[m] flags the nonempty events of measure zero
-    zero = _exact_zero_flags(d) if exact else mu_table(d) <= TOL_ZERO * d.scale
+    # zero[m] flags the nonempty events whose |mu| is within the zero rule
+    table = _measure_table(_dyadic_integers(d)) if exact else mu_table(d)
+    zero = abs(table) <= (0 if exact else TOL_ZERO * d.scale)
     zero[0] = False
     return zero
 
 
-def _exact_zero_flags(d: DecoherenceFunctional) -> np.ndarray:
+def _dyadic_integers(d: DecoherenceFunctional) -> np.ndarray:
     # Each real entry is an exact dyadic rational p/q of its float; over
     # the common denominator they become ints N, and mu vanishes exactly
     # when the integer sum does.  The imaginary parts cancel pairwise
-    # under Hermiticity, so only the real parts sum.  The one-bit
-    # recurrence mu(A + h) = mu(A) + N_hh + sum_{j in A} (N_hj + N_jh),
-    # for A below bit h, fills all 2^n sums in O(2^n) int additions.
+    # under Hermiticity, so only the real parts sum.  No partial sum of
+    # the recurrence exceeds n^2 max|N|, so max|N| * 2 n^2 < 2^63 keeps
+    # int64 a factor of two from overflow; otherwise the ints stay Python's.
     ratios = [[x.as_integer_ratio() for x in row] for row in d.entries.real.tolist()]
     den = max(q for row in ratios for _, q in row)
     ints = [[p * (den // q) for p, q in row] for row in ratios]
-    total = [0]
-    for h, row in enumerate(ints):
-        cross = [0]
-        for j in range(h):
-            pair = row[j] + ints[j][h]
-            cross += [c + pair for c in cross]
-        diag = row[h]
-        total += [t + diag + c for t, c in zip(total, cross)]
-    return np.fromiter((t == 0 for t in total), dtype=bool, count=len(total))
+    fits = max(abs(v) for row in ints for v in row) * 2 * d.n**2 < 1 << 63
+    return np.array(ints, dtype=np.int64 if fits else object)
 
 
 def _check_size(d: DecoherenceFunctional, what: str) -> None:
@@ -101,12 +95,11 @@ def _masks(flags: np.ndarray) -> list[int]:
 def zero_sets(d: DecoherenceFunctional, *, exact: bool = False) -> frozenset[Event]:
     """All nonempty events of measure zero.
 
-    With ``exact=True`` the entries are read as exact dyadic rationals,
-    rescaled to integers over one common power-of-two denominator, and
-    an event counts only when its integer measure vanishes; that takes
-    O(2^n) integer additions.  Otherwise the zero rule of
-    ``qcover.measure`` applies: any measure at most ``TOL_ZERO * d.scale``
-    counts, so scaling D by a positive constant moves no zero set.
+    Every measure comes from the one O(2^n) recurrence behind ``mu_table``.
+    An event counts when |mu| is at most ``TOL_ZERO * d.scale`` (the zero
+    rule of ``qcover.measure``, so scaling D moves no zero set), or, with
+    ``exact=True``, when its measure is 0 over the real entries read as
+    exact dyadic rationals, as integers on one power-of-two denominator.
     """
     _check_size(d, "zero-set enumeration")
     zero = _zero_flags(d, exact)

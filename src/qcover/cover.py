@@ -275,17 +275,21 @@ def indicator_level_identity(n: int) -> bool:
     """
     if not 1 <= n <= 24:
         raise ValueError("n must be between 1 and 24")
-    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
-    level_counts = np.bincount(cards, minlength=n + 1)
+    cards = np.bitwise_count(np.arange(max(1 << n, 64), dtype=np.uint32))
+    cards[1 << n :] = n + 1  # pads the flags to whole words, on no level
     for k in range(n + 1):
-        if int(level_counts[k]) != math.comb(n, k):
+        # bit m of word w flags mask 64 w + m when it lies on level k
+        words = np.packbits(cards == k, bitorder="little").view("<u8")
+        per_word = np.bitwise_count(words)
+        if int(per_word.sum()) != math.comb(n, k):
             return False
-    for i in range(n):
-        # the masks with bit i set, as a strided view of the popcounts
-        with_bit = cards.reshape(-1, 2, 1 << i)[:, 1, :]
-        per_level = np.bincount(with_bit.ravel(), minlength=n + 1)
-        for k in range(1, n + 1):
-            if int(per_level[k]) != math.comb(n - 1, k - 1):
+        for i in range(n if k else 0):
+            if i < 6:  # the flags of masks with bit i set, within each word
+                on = np.uint64(sum(1 << m for m in range(64) if m >> i & 1))
+                with_bit = np.bitwise_count(words & on)
+            else:  # the words whose index has bit i - 6 set
+                with_bit = per_word.reshape(-1, 2, 1 << (i - 6))[:, 1, :]
+            if int(with_bit.sum()) != math.comb(n - 1, k - 1):
                 return False
     return True
 

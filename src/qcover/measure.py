@@ -156,16 +156,13 @@ def _check_event(d: DecoherenceFunctional, a: Event) -> None:
         )
 
 
-def _indices(a: Event) -> list[int]:
-    return [lab - 1 for lab in a.labels]
-
-
 def d_of(d: DecoherenceFunctional, a: Event, b: Event) -> complex:
     """The bilinear block sum D(A, B) = sum_{i in A, j in B} D_ij."""
     _check_event(d, a)
     _check_event(d, b)
-    ia, ib = _indices(a), _indices(b)
-    if not ia or not ib:
+    bits = np.arange(d.n)
+    ia, ib = np.flatnonzero(a.mask >> bits & 1), np.flatnonzero(b.mask >> bits & 1)
+    if not ia.size or not ib.size:
         return 0j
     return complex(d.entries[np.ix_(ia, ib)].sum())
 
@@ -180,25 +177,40 @@ def mu(d: DecoherenceFunctional, a: Event) -> float:
     return val.real
 
 
-@lru_cache(maxsize=32)
-def _indicator_matrix(n: int) -> np.ndarray:
-    total = 1 << n
-    masks = np.arange(total, dtype=np.uint32)
-    cols = [((masks >> i) & 1).astype(np.float64) for i in range(n)]
-    x = np.stack(cols, axis=1)
-    x.setflags(write=False)
-    return x
+def _subset_sums(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # out[A] = out[0] + sum_{j in A} v[j] for every mask A below 2^len(v),
+    # by doubling: the masks with bit h set are those below 2^h plus v[h].
+    # The rows v[j] may be vectors; a new out starts from out[0] = 0.
+    if out is None:
+        out = np.empty((1 << len(v),) + v.shape[1:], dtype=v.dtype)
+        out[0] = 0
+    for h in range(len(v)):
+        np.add(out[: 1 << h], v[h], out[1 << h : 2 << h])
+    return out
+
+
+def _measure_table(m: np.ndarray) -> np.ndarray:
+    # sum_{i, j in A} m_ij for every mask A, in m's dtype (float64, int64 or
+    # Python ints), by mu(A + h) = mu(A) + m_hh + sum_{j in A} (m_hj + m_jh)
+    # for every A below bit h: O(2^n) additions and no 2^n x n table
+    sym = m + m.T
+    out = np.zeros(1 << len(m), dtype=m.dtype)
+    for h in range(len(m)):
+        upper = out[1 << h : 2 << h]
+        upper[0] = m[h, h]
+        _subset_sums(sym[h, :h], upper)
+        upper += out[: 1 << h]
+    return out
 
 
 def mu_table(d: DecoherenceFunctional) -> np.ndarray:
-    """mu of every event, indexed by bitmask.  Needs n <= 16."""
+    """mu of every event, indexed by bitmask.  Needs n <= 16.  One O(2^n)
+    recurrence fills it; exact preclusion runs it over integers."""
     if d.n > MU_TABLE_MAX_N:
         raise ResourceLimitError(
             f"per-event tables are capped at n <= {MU_TABLE_MAX_N}"
         )
-    x = _indicator_matrix(d.n)
-    m = d.entries.real
-    return ((x @ m) * x).sum(axis=1)
+    return _measure_table(d.entries.real)
 
 
 def interference(d: DecoherenceFunctional, parts: Sequence[Event]) -> float:
@@ -336,8 +348,9 @@ def verify_identity(d: DecoherenceFunctional) -> float:
     For every event E of three or more histories, split into singletons
     A_1..A_m, the identity states
     mu(E) = (2 - m) * sum_i mu(A_i) + sum_{i<j} mu(A_i u A_j).
-    It is pure algebra for Hermitian matrices, so the residual measures
-    floating-point noise only.
+    Both sides come from the one subset-sum kernel, the pair sums as the
+    measure table of the pair measures.  The identity is pure algebra for
+    Hermitian matrices, so the residual measures floating-point noise.
     """
     return _identity_residual(d, mu_table(d))
 
@@ -347,20 +360,14 @@ def _identity_residual(d: DecoherenceFunctional, table: np.ndarray) -> float:
     n = d.n
     if n < 3:
         return 0.0
-    x = _indicator_matrix(n)
     m_real = d.entries.real
     diag = np.diag(m_real).copy()
     pairgrid = diag[:, None] + diag[None, :] + 2.0 * m_real
-    card = np.asarray(
-        np.bitwise_count(np.arange(1 << n, dtype=np.uint32)), dtype=np.float64
-    )
-    singles = x @ diag
-    gridsum = ((x @ pairgrid) * x).sum(axis=1)
-    pairsum = (gridsum - 4.0 * singles) / 2.0
-    rhs = (2.0 - card) * singles + pairsum
-    resid = np.abs(table - rhs)
-    resid[card < 3] = 0.0
-    return float(resid.max())
+    card = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.float64)
+    singles = _subset_sums(diag)
+    gridsum = _measure_table(pairgrid)
+    rhs = (2.0 - card) * singles + (gridsum - 4.0 * singles) / 2.0
+    return float(np.abs(table - rhs)[card >= 3].max())
 
 
 def sample_spd(
@@ -398,9 +405,7 @@ def sample_spd(
     omega_num = n  # den * mu(Omega) of the projector, 1^T (den I - B X) 1
     if ann_masks:
         basis, x, den = span_projector(n, ann_masks)
-        b = np.array(
-            [[(m >> i) & 1 for m in basis] for i in range(n)], dtype=np.float64
-        )
+        b = (np.array(basis) >> np.arange(n)[:, None] & 1).astype(np.float64)
         w = w - b @ (np.array(x, dtype=np.float64) @ w) / den
         omega_num = n * den - sum(
             m.bit_count() * sum(row) for m, row in zip(basis, x)
@@ -432,7 +437,7 @@ class _SuitePlan:
 
     ``pair_a``/``pair_b`` list every unordered disjoint pair of nonempty
     events once.  ``cross_lo``/``cross_hi`` are the flat indices of
-    (A, low bits of B) and (A, high bits of B) into the two half tables of
+    (low bits of B, A) and (high bits of B, A) into the two half tables of
     D(A, B), split at bit ``n // 2``.  ``triple_pairs`` holds, for every
     unordered disjoint triple (A, B, C), the pair ids of (A u B, C), (A, C)
     and (B, C).
@@ -449,12 +454,11 @@ class _SuitePlan:
 def _suite_plan(n: int) -> _SuitePlan:
     h = n // 2
     a, b = _disjoint_family_array(n, 2).T.copy()
-    cross_lo = (a << h) | (b & ((1 << h) - 1))
-    cross_hi = (a << (n - h)) | (b >> h)
+    cross_lo = ((b & ((1 << h) - 1)) << n) | a
+    cross_hi = ((b >> h) << n) | a
     # a disjoint pair (A, B) is named by the ternary number with digit 1 on
     # the labels of A and 2 on those of B; both orders map to the pair's id
-    masks = np.arange(1 << n, dtype=np.int64)
-    tern = sum(((masks >> i) & 1) * 3**i for i in range(n))
+    tern = _subset_sums(3 ** np.arange(n, dtype=np.int64))
     pair_id = np.full(3**n, -1, dtype=np.int64)
     ids = np.arange(a.size, dtype=np.int64)
     pair_id[tern[a] + 2 * tern[b]] = ids
@@ -472,15 +476,13 @@ def _suite_plan(n: int) -> _SuitePlan:
 
 
 def _pair_cross_terms(d: DecoherenceFunctional, plan: _SuitePlan) -> np.ndarray:
-    # D(A, B) for every pair of the plan: row A of y = X D holds the column
-    # sums of D over A, so with B's bits split at h = n // 2,
-    # D(A, B) = (y_lo X_h^T)[A, B_lo] + (y_hi X_{n-h}^T)[A, B_hi]
-    n = d.n
-    h = n // 2
-    y = _indicator_matrix(n) @ d.entries
-    cross = (y[:, :h] @ _indicator_matrix(h).T).take(plan.cross_lo)
-    cross += (y[:, h:] @ _indicator_matrix(n - h).T).take(plan.cross_hi)
-    return cross
+    # D(A, B) for every pair of the plan: column A of y holds the column
+    # sums of D over A, and with B's bits split at h = n // 2, D(A, B) is
+    # the sum of y[j, A] over B's low bits j < h plus that over its high bits
+    h = d.n // 2
+    y = _subset_sums(d.entries).T
+    return (_subset_sums(y[:h]).take(plan.cross_lo)
+            + _subset_sums(y[h:]).take(plan.cross_hi))
 
 
 def _random_disjoint_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -517,13 +519,12 @@ class IdentitySuiteReport(JsonRecord):
 def _kernel_disagreements(d: DecoherenceFunctional, table: np.ndarray) -> int:
     # null events of a positive semidefinite functional are exactly the
     # indicator vectors in its kernel; both sides checked with matched
-    # tolerances: |D x|^2 <= lambda_max mu(x) and lambda_max <= trace
-    x = _indicator_matrix(d.n)
-    norms = np.linalg.norm(d.entries @ x.T, axis=0)
+    # tolerances: |D x|^2 <= lambda_max mu(x) and lambda_max <= trace;
+    # D x_A is the sum of D's columns over A, read as (re, im) pairs
+    dx = _subset_sums(d.entries.T).view(np.float64)
     trace = float(d.entries.trace().real)
-    tol_norm = math.sqrt(TOL_ZERO * d.scale * trace)
-    null_by_mu = table <= TOL_ZERO * d.scale
-    null_by_kernel = norms <= tol_norm
+    null_by_mu = np.abs(table) <= TOL_ZERO * d.scale
+    null_by_kernel = np.einsum("ij,ij->i", dx, dx) <= TOL_ZERO * d.scale * trace
     return int(np.count_nonzero(null_by_mu != null_by_kernel))
 
 

@@ -88,6 +88,18 @@ class TestZeroSets:
         assert labelsets(zero_sets(d)) == [[1, 2]]
         assert zero_sets(d, exact=True) == frozenset()
 
+    def test_negative_measure_is_not_zero(self):
+        # mu({1, 2}) = 1 + 0.5 - 2 = -0.5 lies far below zero; both modes
+        # give the exact answer: no zero set and the singletons as derived
+        d = DecoherenceFunctional(
+            np.array([[1.0, -1.0, 0.0], [-1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        )
+        assert fraction_zero_masks(d) == set()
+        for exact in (False, True):
+            assert zero_sets(d, exact=exact) == frozenset()
+            derived = derived_antichain(d, exact=exact).derived
+            assert labelsets(derived) == [[1], [2], [3]]
+
     def test_size_cap(self):
         d = sample_spd(13, rank=4, seed=0)
         with pytest.raises(ResourceLimitError):

@@ -31,7 +31,6 @@ from qcover.measure import (
     _disjoint_families,
     _disjoint_family_array,
     _inclusion_exclusion,
-    _indicator_matrix,
     _kernel_disagreements,
     _pair_cross_terms,
     _random_disjoint_pair,
@@ -301,6 +300,13 @@ class TestInclusionExclusion:
             ]
             expected = 1 if clean[0] else (2 if clean[1] else None)
             assert measure_level(d, 2) == expected
+
+
+@lru_cache(maxsize=None)
+def _indicator_matrix(n):
+    """The 2^n x n float matrix whose row A is the indicator of event A."""
+    masks = np.arange(1 << n)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
 @lru_cache(maxsize=None)
