@@ -11,9 +11,11 @@ up every zero-measure event.
 
 Every pass works on flag arrays indexed by mask: marking, the minimal
 and maximal selections and the closures each take one OR zeta transform
-over the subset lattice (``histories.subset_closure``).  Measures come
-from the recurrence behind ``measure.mu_table``, in exact mode over the
-real entries as dyadic integers on one power-of-two denominator.
+over the subset lattice (``histories.subset_closure``), run as n masked
+shifts of one Python int that packs the 2^n flags, so it is exact bit
+for bit.  Measures come from the recurrence behind ``measure.mu_table``,
+in exact mode over the real entries as dyadic integers on one
+power-of-two denominator.
 """
 
 from __future__ import annotations

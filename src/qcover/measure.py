@@ -475,12 +475,13 @@ def _suite_plan(n: int) -> _SuitePlan:
     return plan
 
 
-def _pair_cross_terms(d: DecoherenceFunctional, plan: _SuitePlan) -> np.ndarray:
-    # D(A, B) for every pair of the plan: column A of y holds the column
-    # sums of D over A, and with B's bits split at h = n // 2, D(A, B) is
-    # the sum of y[j, A] over B's low bits j < h plus that over its high bits
-    h = d.n // 2
-    y = _subset_sums(d.entries).T
+def _pair_cross_terms(rows: np.ndarray, plan: _SuitePlan) -> np.ndarray:
+    # D(A, B) for every pair of the plan, from rows = _subset_sums(D.entries),
+    # D's rows summed over every event: column A of y holds the column sums
+    # of D over A, and with B's bits split at h = n // 2, D(A, B) is the sum
+    # of y[j, A] over B's low bits j < h plus that over its high bits
+    h = rows.shape[1] // 2
+    y = rows.T
     return (_subset_sums(y[:h]).take(plan.cross_lo)
             + _subset_sums(y[h:]).take(plan.cross_hi))
 
@@ -516,12 +517,17 @@ class IdentitySuiteReport(JsonRecord):
     kernel_disagreements: int
 
 
-def _kernel_disagreements(d: DecoherenceFunctional, table: np.ndarray) -> int:
+def _kernel_disagreements(
+    d: DecoherenceFunctional, table: np.ndarray, rows: np.ndarray
+) -> int:
     # null events of a positive semidefinite functional are exactly the
     # indicator vectors in its kernel; both sides checked with matched
-    # tolerances: |D x|^2 <= lambda_max mu(x) and lambda_max <= trace;
-    # D x_A is the sum of D's columns over A, read as (re, im) pairs
-    dx = _subset_sums(d.entries.T).view(np.float64)
+    # tolerances: |D x|^2 <= lambda_max mu(x) and lambda_max <= trace.
+    # D x_A sums D's columns over A.  D is stored exactly Hermitian, so
+    # that is the exact conjugate of rows[A], D's rows summed over A (the
+    # table _pair_cross_terms takes), with the same squared norm; rows is
+    # read as (re, im) pairs
+    dx = rows.view(np.float64)
     trace = float(d.entries.trace().real)
     null_by_mu = np.abs(table) <= TOL_ZERO * d.scale
     null_by_kernel = np.einsum("ij,ij->i", dx, dx) <= TOL_ZERO * d.scale * trace
@@ -586,7 +592,8 @@ def identity_suite(
             i3 = i2[t_union] - i2[t_a] - i2[t_b]
             max_triple = max(max_triple, float(np.abs(i3).max()))
 
-        cross = _pair_cross_terms(d, plan)
+        rows = _subset_sums(d.entries)
+        cross = _pair_cross_terms(rows, plan)
         mu_a = np.clip(raw_a, 0.0, None)
         mu_b = np.clip(raw_b, 0.0, None)
         cs = mu_a * mu_b - np.abs(cross) ** 2
@@ -596,7 +603,7 @@ def identity_suite(
         min_lower = min(min_lower, float((mu_ab - (root_a - root_b) ** 2).min()))
         min_upper = min(min_upper, float(((root_a + root_b) ** 2 - mu_ab).min()))
 
-        kernel_bad += _kernel_disagreements(d, table)
+        kernel_bad += _kernel_disagreements(d, table, rows)
 
         rng = np.random.default_rng((seed, i, 1))
         am, bm = _random_disjoint_pair(rng, n)
@@ -609,7 +616,9 @@ def identity_suite(
         max_pair_zero = max(
             max_pair_zero, abs(mu(d_pair, ev_a) - mu(d_pair, ev_b))
         )
-        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair))
+        kernel_bad += _kernel_disagreements(
+            d_pair, mu_table(d_pair), _subset_sums(d_pair.entries)
+        )
 
         d_single = sample_spd(n, r, (seed, i, 3), annihilate=[ev_a])
         max_single_zero = max(

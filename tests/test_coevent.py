@@ -19,7 +19,7 @@ from qcover import (
     sample_spd,
     zero_sets,
 )
-from qcover.histories import subset_closure
+from qcover.histories import CLOSURE_MAX_N, _lanes, closure, subset_closure
 
 
 def labelsets(events):
@@ -126,7 +126,91 @@ class TestZeroSets:
         assert found > 0
 
 
+def numpy_closure(flags, direction, strict):
+    """Reference: the OR zeta transform as one numpy pass per bit over
+    strided views of a bool array, independent of the packed int."""
+    n = flags.size.bit_length() - 1
+    src, dst = (0, 1) if direction == "up" else (1, 0)
+
+    def spread(into, frm):
+        for i in range(n):
+            shape = (-1, 2, 1 << i)
+            into.reshape(shape)[:, dst, :] |= frm.reshape(shape)[:, src, :]
+
+    out = np.array(flags, dtype=bool)
+    spread(out, out)
+    if not strict:
+        return out
+    proper = np.zeros_like(out)
+    spread(proper, out)
+    return proper
+
+
+CASES = [(d, s) for d in ("up", "down") for s in (False, True)]
+
+
 class TestSubsetClosure:
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_matches_numpy_reference(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.01, 0.3, 0.8):
+            flags = rng.random(1 << n) < density
+            for direction, strict in CASES:
+                got = subset_closure(flags, direction, strict=strict)
+                assert got.dtype == bool and got.shape == flags.shape
+                assert np.array_equal(
+                    got, numpy_closure(flags, direction, strict)
+                ), (density, direction, strict)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_matches_numpy_reference_sparse_large(self, n):
+        rng = np.random.default_rng(n)
+        flags = np.zeros(1 << n, dtype=bool)
+        # a few events of every size, so neither closure fills the lattice
+        flags[rng.integers(0, 1 << n, size=6)] = True
+        flags[[1 << (n - 1), (1 << n) - 2, 0b1011]] = True
+        for direction, strict in CASES:
+            got = subset_closure(flags, direction, strict=strict)
+            want = numpy_closure(flags, direction, strict)
+            assert np.array_equal(got, want), (direction, strict)
+            assert 0 < np.count_nonzero(got) < got.size
+
+    def test_closure_at_cap(self):
+        n = CLOSURE_MAX_N
+        space = HistorySpace(n)
+        full = space.full_mask
+        small = [0b1011, 1 << (n - 1) | 1, 0b111 << 9]
+        large = [full ^ m for m in small]
+        down = {e.mask for e in closure(
+            space, [space.event_from_mask(m) for m in small], "down")}
+        want_down = {s for m in small for s in range(1, m + 1) if s & m == s}
+        assert down == want_down
+        up = {e.mask for e in closure(
+            space, [space.event_from_mask(m) for m in large], "up")}
+        assert up == {full ^ s for s in want_down} | {full}
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_integer_inputs_left_unmodified(self, dtype):
+        rng = np.random.default_rng(5)
+        values = (rng.random(1 << 10) < 0.05) * rng.integers(1, 200, 1 << 10)
+        flags = np.array(values, dtype=dtype)
+        before = flags.copy()
+        for direction, strict in CASES:
+            got = subset_closure(flags, direction, strict=strict)
+            assert got.dtype == bool
+            assert np.array_equal(
+                got, numpy_closure(flags != 0, direction, strict))
+        assert flags.dtype == before.dtype
+        assert np.array_equal(flags, before)
+
+    def test_lanes_match_definition(self):
+        for n in range(0, 13):
+            lanes = _lanes(n)
+            assert len(lanes) == n
+            for i, lane in enumerate(lanes):
+                want = sum(1 << m for m in range(1 << n) if not m >> i & 1)
+                assert lane == want, (n, i)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for n in range(0, 9):

@@ -10,6 +10,8 @@ first.
 import hashlib
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +44,60 @@ FUNCTIONALS = {
     "d2": [[0.5, -0.5], [-0.5, 0.5]],
     "diag4": [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)],
 }
+
+
+def _integer_kernel(n, masks):
+    # integer basis of the vectors orthogonal to every indicator in masks
+    rows = [[Fraction(m >> h & 1) for h in range(n)] for m in masks]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][free]
+        den = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * den) for x in v])
+    return basis
+
+
+def _null_event_functional(n, seed, rank=3):
+    """D = W W^T for an integer n x rank W whose columns are orthogonal to
+    the indicators of one to three random events, which are then null,
+    with W^T 1 != 0: the preclusion inputs of the benchmark, drawn the
+    same way from a fixed seed."""
+    rng = random.Random(seed)
+    while True:
+        count = rng.randint(1, 3)
+        nulls = set()
+        while len(nulls) < count:
+            mask = sum(1 << h for h in range(n) if rng.random() < 0.4)
+            if mask:
+                nulls.add(mask)
+        basis = _integer_kernel(n, sorted(nulls))
+        coef = [[rng.randint(-3, 3) for _ in range(rank)] for _ in basis]
+        w = [[sum(c[j] * vec[h] for c, vec in zip(coef, basis))
+              for j in range(rank)] for h in range(n)]
+        if any(sum(row[j] for row in w) for j in range(rank)):
+            return [[float(sum(a * b for a, b in zip(w[i], w[j])))
+                     for j in range(n)] for i in range(n)]
+
+
+# preclusion at the benchmark's sizes, where subset_closure does the work
+FUNCTIONALS["ww10"] = _null_event_functional(10, "golden:ww10:1")
+FUNCTIONALS["ww12"] = _null_event_functional(12, "golden:ww12:1")
 
 DIGESTS = {
     "scan --n 1":
@@ -100,6 +156,14 @@ DIGESTS = {
         "7f1dcd63036d84e78d4d466029ec35027468baf1c381609cb4693072bf57517e",
     "coevents --dmatrix {diag4} --exact":
         "1554b730576b199d55ac750edd057c15a1310aaa84a8a947c7150a63e6b2ec64",
+    "coevents --dmatrix {ww10}":
+        "e454da575223fe81428249c29087217580c5f0f36d0dcbb1417bb1efb8699b73",
+    "coevents --dmatrix {ww10} --exact":
+        "e454da575223fe81428249c29087217580c5f0f36d0dcbb1417bb1efb8699b73",
+    "coevents --dmatrix {ww12}":
+        "8c6882794d308a4143f06e185c23053a50a4e00b812dd9475e909b801fca1103",
+    "coevents --dmatrix {ww12} --exact":
+        "8c6882794d308a4143f06e185c23053a50a4e00b812dd9475e909b801fca1103",
     "pks rays":
         "825860986acba7fd68849eb092f20e72442d3ad7bc262f2cac49a09897846273",
     "pks bases":

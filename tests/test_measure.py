@@ -34,6 +34,7 @@ from qcover.measure import (
     _kernel_disagreements,
     _pair_cross_terms,
     _random_disjoint_pair,
+    _subset_sums,
     _suite_plan,
 )
 
@@ -346,7 +347,10 @@ def _reference_identity_suite(n, samples, seed):
         root_a, root_b = np.sqrt(mu_a), np.sqrt(mu_b)
         min_lower = min(min_lower, float((mu_ab - (root_a - root_b) ** 2).min()))
         min_upper = min(min_upper, float(((root_a + root_b) ** 2 - mu_ab).min()))
-        kernel_bad += _kernel_disagreements(d, table)
+        # D x_A from D's columns: the exact conjugate of the row table the
+        # suite passes, so the comparison checks that sharing
+        kernel_bad += _kernel_disagreements(
+            d, table, _subset_sums(d.entries.T))
 
         rng = np.random.default_rng((seed, i, 1))
         am, bm = _random_disjoint_pair(rng, n)
@@ -356,7 +360,8 @@ def _reference_identity_suite(n, samples, seed):
         d_pair = sample_spd(n, n, (seed, i, 2), annihilate=[ev_ab])
         max_pair_zero = max(max_pair_zero,
                             abs(mu(d_pair, ev_a) - mu(d_pair, ev_b)))
-        kernel_bad += _kernel_disagreements(d_pair, mu_table(d_pair))
+        kernel_bad += _kernel_disagreements(
+            d_pair, mu_table(d_pair), _subset_sums(d_pair.entries.T))
         d_single = sample_spd(n, n, (seed, i, 3), annihilate=[ev_a])
         max_single_zero = max(max_single_zero,
                               abs(mu(d_single, ev_ab) - mu(d_single, ev_b)))
@@ -407,7 +412,7 @@ class TestIdentitySuitePlan:
         plan = _suite_plan(n)
         for seed in range(3):
             d = sample_spd(n, n, (seed, n))
-            cross = _pair_cross_terms(d, plan)
+            cross = _pair_cross_terms(_subset_sums(d.entries), plan)
             space = d.space
             for k, (a, b) in enumerate(zip(plan.pair_a, plan.pair_b)):
                 want = d_of(d, Event(int(a), space), Event(int(b), space))
