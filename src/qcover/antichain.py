@@ -39,9 +39,10 @@ GENERATOR_MAX_N = 16
 
 
 class Antichain:
-    """An immutable, canonically sorted antichain of nonempty events."""
+    """An immutable, canonically sorted antichain of nonempty events;
+    ``masks`` holds the elements' masks in the same order."""
 
-    __slots__ = ("space", "elements")
+    __slots__ = ("space", "elements", "masks")
 
     def __init__(self, events: Iterable[Event]):
         seq = list(events)
@@ -65,13 +66,10 @@ class Antichain:
             )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "elements", tuple(Event(m, space) for m in ordered))
+        object.__setattr__(self, "masks", tuple(ordered))
 
     def __setattr__(self, name, value):  # keep instances effectively frozen
         raise AttributeError("Antichain is immutable")
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(e.mask for e in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -132,8 +130,10 @@ def _comparable_pair(masks: list[int]) -> Optional[tuple[int, int]]:
 
 def _antichain_unchecked(space: HistorySpace, masks: Iterable[int]) -> Antichain:
     ac = Antichain.__new__(Antichain)
+    masks = tuple(masks)
     object.__setattr__(ac, "space", space)
     object.__setattr__(ac, "elements", tuple(Event(m, space) for m in masks))
+    object.__setattr__(ac, "masks", masks)
     return ac
 
 

@@ -9,14 +9,15 @@ The backtracking search shows no coloring avoids every obstruction
 a cover of the coloring space.  ``witness_check`` then verifies,
 mechanically, that the family is an antichain yet fails to be
 inextendible: a two-element set of colorings is comparable to none of
-its members.
+its members.  Events and colorings are 33-bit ray masks, so each of the
+3,828 pair relations is a few integer membership tests.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
@@ -231,10 +232,13 @@ class PKSEvent:
 
     kind "red_basis": every ray of one basis is red.
     kind "green_pair": both rays of one orthogonal pair are green.
+    ``bits`` holds the event's rays as a bitmask, set once when the event
+    is built.
     """
 
     kind: str
     indices: tuple[int, ...]
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("red_basis", "green_pair"):
@@ -242,15 +246,15 @@ class PKSEvent:
         want = 3 if self.kind == "red_basis" else 2
         if len(self.indices) != want or len(set(self.indices)) != want:
             raise ValueError("event has the wrong number of distinct rays")
+        object.__setattr__(self, "bits", sum(1 << i for i in self.indices))
 
-    @property
-    def bits(self) -> int:
-        return sum(1 << i for i in self.indices)  # the indices are distinct
+    def holds(self, mask: int) -> bool:
+        """Membership of the coloring whose green rays are ``mask``: the
+        one bit test every membership claim goes through."""
+        return mask & self.bits == (0 if self.kind == "red_basis" else self.bits)
 
     def contains(self, coloring: Coloring) -> bool:
-        if self.kind == "red_basis":
-            return coloring.mask & self.bits == 0
-        return coloring.mask & self.bits == self.bits
+        return self.holds(coloring.mask)
 
     def size(self) -> int:
         """Exact number of colorings in the event."""
@@ -268,75 +272,42 @@ def pks_events(structure: OrthogonalStructure) -> tuple[PKSEvent, ...]:
     return tuple(out)
 
 
-def _check_membership(event: PKSEvent, coloring: Coloring, expected: bool):
-    if event.contains(coloring) != expected:
-        raise ConsistencyError(
-            f"countercoloring check failed for {event.kind}{event.indices}"
-        )
+def _refuted(e1: PKSEvent, e2: PKSEvent) -> ConsistencyError:
+    return ConsistencyError(
+        f"countercoloring check failed for {e1.kind}{e1.indices}"
+        f" against {e2.kind}{e2.indices}"
+    )
 
 
 def pks_comparability(e1: PKSEvent, e2: PKSEvent) -> str:
-    """Containment relation between two obstruction events, decided
-    symbolically and confirmed with explicit countercolorings.
+    """Containment relation between two obstruction events, decided on
+    their ray bitmasks and confirmed with explicit countercolorings.
 
-    Adding a constrained ray shrinks the event, so a red_basis event is
-    contained in another exactly when its ray set contains the other's;
-    likewise for green pairs.  Events of different kinds are always
-    incomparable.
+    Every event of one kind constrains the same number of rays (three
+    per basis, two per pair), so two events of one kind are ``equal``
+    when their rays are and ``incomparable`` otherwise; events of
+    different kinds are always incomparable.  An equal pair is confirmed
+    by a coloring in both, an incomparable pair by two colorings each in
+    one event and not the other.
     """
-    s1, s2 = set(e1.indices), set(e2.indices)
     full = (1 << RAY_COUNT) - 1
-    if e1.kind == e2.kind:
-        if s1 == s2:
-            rel = "equal"
-        elif s2 < s1:
-            rel = "subset"
-        elif s1 < s2:
-            rel = "superset"
-        else:
-            rel = "incomparable"
+    red_first = e1.kind == "red_basis"
+    if e1.kind != e2.kind:
+        w1, w2 = (0, full) if red_first else (full, 0)
+    elif e1.bits == e2.bits:
+        probe = 0 if red_first else full
+        if e1.holds(probe) and e2.holds(probe):
+            return "equal"
+        raise _refuted(e1, e2)
+    elif red_first:
+        # all red but for one ray of the other basis
+        only2, only1 = e2.bits & ~e1.bits, e1.bits & ~e2.bits
+        w1, w2 = only2 & -only2, only1 & -only1
     else:
-        rel = "incomparable"
-
-    if rel == "equal":
-        probe = Coloring(0) if e1.kind == "red_basis" else Coloring(full)
-        _check_membership(e1, probe, True)
-        _check_membership(e2, probe, True)
-        return rel
-    if rel in ("subset", "superset"):
-        small, big = (e1, e2) if rel == "subset" else (e2, e1)
-        extra = next(iter(set(small.indices) - set(big.indices)))
-        if small.kind == "red_basis":
-            inside_big = Coloring(full & ~big.bits & ~(1 << extra))
-            member = Coloring(0)
-        else:
-            inside_big = Coloring(big.bits)
-            member = Coloring(full)
-        _check_membership(big, inside_big, True)
-        _check_membership(small, inside_big, False)
-        _check_membership(small, member, True)
-        _check_membership(big, member, True)
-        return rel
-
-    if e1.kind == e2.kind:
-        if e1.kind == "red_basis":
-            extra2 = next(iter(s2 - s1))
-            extra1 = next(iter(s1 - s2))
-            w1 = Coloring(1 << extra2)  # e1 all red, one ray of e2 green
-            w2 = Coloring(1 << extra1)
-        else:
-            w1 = Coloring(e1.bits)  # only e1's pair green
-            w2 = Coloring(e2.bits)
-    else:
-        red_first = e1.kind == "red_basis"
-        w_red = Coloring(0)
-        w_green = Coloring(full)
-        w1, w2 = (w_red, w_green) if red_first else (w_green, w_red)
-    _check_membership(e1, w1, True)
-    _check_membership(e2, w1, False)
-    _check_membership(e2, w2, True)
-    _check_membership(e1, w2, False)
-    return rel
+        w1, w2 = e1.bits, e2.bits  # only the event's own pair green
+    if e1.holds(w1) and not e2.holds(w1) and e2.holds(w2) and not e1.holds(w2):
+        return "incomparable"
+    raise _refuted(e1, e2)
 
 
 @dataclass(frozen=True)

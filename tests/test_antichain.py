@@ -14,6 +14,7 @@ from qcover import (
     is_antichain,
     is_inextendible,
 )
+from qcover.antichain import _antichain_unchecked
 
 
 class TestConstruction:
@@ -40,6 +41,18 @@ class TestConstruction:
         ac = Antichain([space4.event([1, 2])])
         with pytest.raises(AttributeError):
             ac.elements = ()
+
+    def test_masks_stored_with_the_elements(self, space4):
+        # both construction paths store the masks once, the unchecked one
+        # from a single pass over its iterable
+        built = Antichain([space4.event([3, 4]), space4.event([1, 2])])
+        fast = _antichain_unchecked(space4, iter([0b0011, 0b1100]))
+        for ac in (built, fast):
+            assert ac.masks is ac.masks
+            assert ac.masks == tuple(e.mask for e in ac) == (0b0011, 0b1100)
+        assert fast == built and hash(fast) == hash(built)
+        with pytest.raises(AttributeError):
+            built.masks = ()
 
     def test_pickle_roundtrip(self, space4):
         ac = Antichain([space4.event([1, 2]), space4.event([3, 4])])

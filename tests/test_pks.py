@@ -202,27 +202,94 @@ class TestComparability:
         outer = PKSEvent("red_basis", (0, 1, 2))
         assert pks_comparability(outer, outer) == "equal"
 
-    def test_sampled_agreement(self, structure):
-        import numpy as np
+    @staticmethod
+    def _brute_force(e1, e2):
+        # membership depends only on the rays the two events name, so the
+        # relation is decided exactly by every coloring of those rays
+        rays = sorted(set(e1.indices) | set(e2.indices))
 
-        rng = np.random.default_rng(2024)
+        def member(e, green):
+            if e.kind == "red_basis":
+                return not any(i in green for i in e.indices)
+            return all(i in green for i in e.indices)
+
+        in1, in2 = set(), set()
+        for local in range(1 << len(rays)):
+            green = {r for k, r in enumerate(rays) if local >> k & 1}
+            if member(e1, green):
+                in1.add(local)
+            if member(e2, green):
+                in2.add(local)
+        if in1 == in2:
+            return "equal"
+        if in1 < in2:
+            return "subset"
+        if in2 < in1:
+            return "superset"
+        return "incomparable"
+
+    def test_every_peres_pair_matches_brute_force(self, structure):
         events = pks_events(structure)
-        masks = rng.integers(0, 1 << RAY_COUNT, size=10_000, dtype=np.uint64)
-        chosen = [(events[i], events[j]) for i, j in zip(
-            rng.integers(0, len(events), size=40),
-            rng.integers(0, len(events), size=40),
-        )]
-        for e1, e2 in chosen:
-            rel = pks_comparability(e1, e2)
-            b1, b2 = np.uint64(e1.bits), np.uint64(e2.bits)
-            in1 = (masks & b1) == (0 if e1.kind == "red_basis" else b1)
-            in2 = (masks & b2) == (0 if e2.kind == "red_basis" else b2)
-            if rel == "equal":
-                assert (in1 == in2).all()
-            elif rel == "subset":
-                assert (~in1 | in2).all()
-            elif rel == "superset":
-                assert (~in2 | in1).all()
+        counts = {}
+        for e1 in events:
+            for e2 in events:
+                rel = pks_comparability(e1, e2)
+                assert rel == self._brute_force(e1, e2), (e1, e2)
+                counts[rel] = counts.get(rel, 0) + 1
+        assert counts == {"equal": 88, "incomparable": 88 * 87}
+
+    @pytest.mark.parametrize("e1, e2", [
+        (("red_basis", (0, 1, 2)), ("red_basis", (3, 4, 5))),
+        (("red_basis", (0, 1, 2)), ("red_basis", (0, 4, 5))),
+        (("red_basis", (0, 1, 2)), ("red_basis", (0, 1, 5))),
+        (("red_basis", (0, 1, 2)), ("red_basis", (2, 0, 1))),
+        (("red_basis", (30, 31, 32)), ("red_basis", (0, 31, 32))),
+        (("green_pair", (0, 1)), ("green_pair", (2, 3))),
+        (("green_pair", (0, 1)), ("green_pair", (1, 2))),
+        (("green_pair", (0, 1)), ("green_pair", (1, 0))),
+        (("green_pair", (31, 32)), ("green_pair", (0, 32))),
+        (("red_basis", (0, 1, 2)), ("green_pair", (0, 1))),
+        (("red_basis", (0, 1, 2)), ("green_pair", (2, 5))),
+        (("red_basis", (0, 1, 2)), ("green_pair", (6, 7))),
+        (("green_pair", (0, 32)), ("red_basis", (0, 16, 32))),
+    ])
+    def test_synthetic_pairs_match_brute_force(self, e1, e2):
+        a, b = PKSEvent(*e1), PKSEvent(*e2)
+        for x, y in ((a, b), (b, a)):
+            assert pks_comparability(x, y) == self._brute_force(x, y)
+
+    @pytest.mark.parametrize("lie_on", [0, (1 << RAY_COUNT) - 1, 1 << 3])
+    def test_lying_membership_test_is_caught(self, monkeypatch, lie_on):
+        # membership claims all go through PKSEvent.holds; flip its answer
+        # on one coloring and every relation confirmed by it must fail
+        honest = PKSEvent.holds
+        monkeypatch.setattr(
+            PKSEvent, "holds", lambda e, mask: honest(e, mask) != (mask == lie_on)
+        )
+        pairs = {
+            0: [(("red_basis", (0, 1, 2)), ("green_pair", (3, 4))),
+                (("green_pair", (3, 4)), ("red_basis", (0, 1, 2))),
+                (("red_basis", (0, 1, 2)), ("red_basis", (0, 1, 2)))],
+            (1 << RAY_COUNT) - 1: [
+                (("red_basis", (0, 1, 2)), ("green_pair", (3, 4))),
+                (("green_pair", (3, 4)), ("green_pair", (4, 3)))],
+            1 << 3: [(("red_basis", (0, 1, 2)), ("red_basis", (0, 1, 3)))],
+        }[lie_on]
+        probe = PKSEvent("red_basis", (0, 1, 2))
+        assert probe.contains(Coloring(lie_on)) != honest(probe, lie_on)
+        for e1, e2 in pairs:
+            with pytest.raises(ConsistencyError, match="countercoloring"):
+                pks_comparability(PKSEvent(*e1), PKSEvent(*e2))
+
+    def test_witness_check_confirms_every_pair(self, structure, monkeypatch):
+        # the all-red coloring enters the witness only through the
+        # pairwise pass, so a lie on it must surface there
+        honest = PKSEvent.holds
+        monkeypatch.setattr(
+            PKSEvent, "holds", lambda e, mask: honest(e, mask) != (mask == 0)
+        )
+        with pytest.raises(ConsistencyError, match="countercoloring"):
+            witness_check(structure)
 
 
 class TestWitness:
