@@ -18,8 +18,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from .errors import ConsistencyError, ResourceLimitError, SpaceMismatchError
 from .histories import (
     Event,
@@ -30,7 +28,6 @@ from .histories import (
 )
 
 # enumeration works vertex-by-vertex over all 2^n - 1 nonempty events
-DEFAULT_ENUM_MAX_N = 5
 HARD_ENUM_MAX_N = 6
 
 # structured generators re-verify inextendibility exhaustively before
@@ -105,7 +102,7 @@ class Antichain:
 
     @classmethod
     def from_json(cls, data: dict) -> Antichain:
-        space = HistorySpace(int(data["n"]))
+        space = HistorySpace(data["n"])
         return cls(space.event(labels) for labels in data["elements"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -157,18 +154,23 @@ def is_inextendible(ac: Antichain) -> tuple[bool, Optional[Event]]:
 
     Returns ``(True, None)`` when every nonempty event is comparable to
     some element, else ``(False, witness)`` where the witness is the
-    smallest-mask event that could still be added.  The comparable
-    events are the up- and down-closures of the elements, two subset
-    transforms of O(n 2^n) each.
+    smallest-mask event that could still be added.  The elements are
+    packed into one flag set (bit m for mask m); the comparable events
+    are its up- and down-closures, two subset transforms of O(n 2^n)
+    each, and the witness is the lowest bit that neither sets.
     """
     space = ac.space
-    flags = np.zeros(1 << space.n, dtype=bool)
-    flags[list(ac.masks)] = True
-    comparable = subset_closure(flags, "up") | subset_closure(flags, "down")
-    comparable[0] = True
-    if comparable.all():
+    n = space.n
+    flags = 0
+    for m in ac.masks:
+        flags |= 1 << m
+    comparable = (
+        subset_closure(flags, n, "up") | subset_closure(flags, n, "down") | 1
+    )
+    if comparable == (1 << (1 << n)) - 1:
         return True, None
-    return False, Event(int(np.argmin(comparable)), space)
+    # the lowest clear bit of comparable is the smallest missing event
+    return False, Event((~comparable & (comparable + 1)).bit_length() - 1, space)
 
 
 def _incomparability_adjacency(n: int) -> list[int]:
@@ -186,15 +188,11 @@ def _incomparability_adjacency(n: int) -> list[int]:
     return adj
 
 
-def _inextendible_masks(n: int, n_limit: int) -> Iterator[tuple[int, ...]]:
+def _inextendible_masks(n: int) -> Iterator[tuple[int, ...]]:
     # the sorted member masks behind enumerate_inextendible, in its order
-    if n_limit > HARD_ENUM_MAX_N:
+    if n > HARD_ENUM_MAX_N:
         raise ResourceLimitError(
-            f"enumeration is hard-capped at n <= {HARD_ENUM_MAX_N}"
-        )
-    if n > n_limit:
-        raise ResourceLimitError(
-            f"enumeration over n={n} exceeds the limit n <= {n_limit}"
+            f"enumeration over n={n} exceeds the cap n <= {HARD_ENUM_MAX_N}"
         )
     adj = _incomparability_adjacency(n)
     count = len(adj)
@@ -237,16 +235,14 @@ def _inextendible_masks(n: int, n_limit: int) -> Iterator[tuple[int, ...]]:
     yield from found
 
 
-def enumerate_inextendible(
-    space: HistorySpace, *, n_limit: int = DEFAULT_ENUM_MAX_N
-) -> Iterator[Antichain]:
+def enumerate_inextendible(space: HistorySpace) -> Iterator[Antichain]:
     """Yield every inextendible antichain of the space exactly once,
     ordered lexicographically by sorted element masks.
 
     The walk visits all 2^n - 1 nonempty events, so it is capped at
-    n <= 5 by default; ``n_limit`` may be raised to the hard limit of 6.
+    n <= HARD_ENUM_MAX_N = 6, where it yields 31,745 antichains.
     """
-    for masks in _inextendible_masks(space.n, n_limit):
+    for masks in _inextendible_masks(space.n):
         yield _antichain_unchecked(space, masks)
 
 

@@ -23,7 +23,6 @@ from .antichain import (
     Antichain,
     GENERATOR_KINDS,
     GENERATOR_PARAMS,
-    HARD_ENUM_MAX_N,
     _inextendible_masks,
     _masks_json,
     classify,
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_event_family(path: str) -> tuple[HistorySpace, list[Event]]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    space = HistorySpace(int(data["n"]))
+    space = HistorySpace(data["n"])
     events = [space.event(labels) for labels in data["elements"]]
     if not events:
         raise ValueError("the file lists no events")
@@ -185,9 +184,7 @@ def _run_cover_check(args) -> dict:
 
 
 def _run_scan(args) -> dict:
-    space = HistorySpace(args.n)
-    limit = min(max(args.n, 1), HARD_ENUM_MAX_N)
-    return scan(space, workers=args.workers, n_limit=limit).to_json()
+    return scan(HistorySpace(args.n), workers=args.workers).to_json()
 
 
 def _run_coevents(args) -> dict:
@@ -209,7 +206,7 @@ def _run_coevents(args) -> dict:
 
 def _run_enumerate(args) -> dict:
     n = HistorySpace(args.n).n
-    found = list(_inextendible_masks(n, min(n, HARD_ENUM_MAX_N)))
+    found = list(_inextendible_masks(n))
     return {
         "n": n,
         "count": len(found),

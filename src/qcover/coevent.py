@@ -9,13 +9,15 @@ coevents.  Joining those supports with the maximal events that contain
 none of them yields an inextendible antichain whose down-closure soaks
 up every zero-measure event.
 
-Every pass works on flag arrays indexed by mask: marking, the minimal
-and maximal selections and the closures each take one OR zeta transform
-over the subset lattice (``histories.subset_closure``), run as n masked
-shifts of one Python int that packs the 2^n flags, so it is exact bit
-for bit.  Measures come from the recurrence behind ``measure.mu_table``,
-in exact mode over the real entries as dyadic integers on one
-power-of-two denominator.
+Every pass works on flag sets: one Python int per set of events, bit m
+set when the event with mask m belongs.  The zero rule's comparison over
+the measure table is packed once; marking, the minimal and maximal
+selections, the closures and every consistency check are then int
+operations, each closure one OR zeta transform over the subset lattice
+(``histories.subset_closure``), exact bit for bit.  Only the listings a
+caller gets back are unpacked.  Measures come from the recurrence
+behind ``measure.mu_table``, in exact mode over the real entries as
+dyadic integers on one power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .antichain import Antichain, _antichain_unchecked, is_inextendible
 from .errors import ConsistencyError, NoCoeventError, ResourceLimitError
-from .histories import Event, subset_closure
+from .histories import Event, _set_bits, subset_closure
 from .measure import TOL_ZERO, DecoherenceFunctional, _measure_table, mu_table
 
 COEVENT_MAX_N = 12
@@ -61,12 +63,12 @@ class PreclusionStructure:
         }
 
 
-def _zero_flags(d: DecoherenceFunctional, exact: bool) -> np.ndarray:
-    # zero[m] flags the nonempty events whose |mu| is within the zero rule
+def _zero_flags(d: DecoherenceFunctional, exact: bool) -> int:
+    # the flag set of the nonempty events whose |mu| is within the zero rule
     table = _measure_table(_dyadic_integers(d)) if exact else mu_table(d)
     zero = abs(table) <= (0 if exact else TOL_ZERO * d.scale)
-    zero[0] = False
-    return zero
+    packed = np.packbits(zero, bitorder="little").tobytes()
+    return int.from_bytes(packed, "little") & ~1
 
 
 def _dyadic_integers(d: DecoherenceFunctional) -> np.ndarray:
@@ -90,10 +92,6 @@ def _check_size(d: DecoherenceFunctional, what: str) -> None:
         )
 
 
-def _masks(flags: np.ndarray) -> list[int]:
-    return np.flatnonzero(flags).tolist()
-
-
 def zero_sets(d: DecoherenceFunctional, *, exact: bool = False) -> frozenset[Event]:
     """All nonempty events of measure zero.
 
@@ -105,27 +103,27 @@ def zero_sets(d: DecoherenceFunctional, *, exact: bool = False) -> frozenset[Eve
     """
     _check_size(d, "zero-set enumeration")
     zero = _zero_flags(d, exact)
-    return frozenset(d.space.event_from_mask(m) for m in _masks(zero))
+    return frozenset(d.space.event_from_mask(m) for m in _set_bits(zero))
 
 
-def _preclusion_flags(
-    d: DecoherenceFunctional, exact: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flag arrays over all masks: the zero sets, the minimal unmarked
-    events (the supports) and the up-closure of the supports."""
+def _preclusion_flags(d: DecoherenceFunctional, exact: bool) -> tuple[int, int, int]:
+    """Flag sets: the zero sets, the minimal unmarked events (the
+    supports) and the up-closure of the supports."""
     _check_size(d, "preclusion analysis")
+    n = d.n
+    full = (1 << (1 << n)) - 1
     zero = _zero_flags(d, exact)
-    marked = subset_closure(zero, "down")
-    marked[0] = True
-    if marked[-1]:
+    marked = subset_closure(zero, n, "down") | 1
+    # the whole space is marked exactly when every event is
+    if marked == full:
         raise NoCoeventError(
             "the whole space is precluded; no coevent support exists"
         )
     # minimal unmarked events: unmarked with every proper submask marked
-    free = ~marked
-    minimal = free & ~subset_closure(free, "up", strict=True)
-    in_up = subset_closure(minimal, "up")
-    if not np.array_equal(free[1:], in_up[1:]):
+    free = full & ~marked
+    minimal = free & ~subset_closure(free, n, "up", strict=True)
+    in_up = subset_closure(minimal, n, "up")
+    if in_up != free:
         raise ConsistencyError(
             "non-precluded events do not match the supports' up-closure"
         )
@@ -140,12 +138,12 @@ def ppc_supports(d: DecoherenceFunctional, *, exact: bool = False) -> Antichain:
     measure zero, since then everything is precluded.
     """
     _, minimal, _ = _preclusion_flags(d, exact)
-    return _antichain_unchecked(d.space, _masks(minimal))
+    return _antichain_unchecked(d.space, _set_bits(minimal))
 
 
-def _maximal(sel: np.ndarray) -> np.ndarray:
+def _maximal(sel: int, n: int) -> int:
     # the selected events with no selected proper superset
-    return sel & ~subset_closure(sel, "down", strict=True)
+    return sel & ~subset_closure(sel, n, "down", strict=True)
 
 
 def derived_antichain(
@@ -161,46 +159,46 @@ def derived_antichain(
     """
     zero, minimal, in_up = _preclusion_flags(d, exact)
     space = d.space
+    n = d.n
+    full = (1 << (1 << n)) - 1
 
-    sel_off = ~in_up
-    sel_off[0] = False
-    m_prime = _maximal(sel_off)
-    a_prime = _maximal(sel_off | minimal)
+    sel_off = full & ~(in_up | 1)
+    m_prime = _maximal(sel_off, n)
+    a_prime = _maximal(sel_off | minimal, n)
 
-    if (minimal & ~a_prime).any():
+    if minimal & ~a_prime:
         raise ConsistencyError("a support fell out of the derived antichain")
     m_part = a_prime & ~minimal
-    if (m_part & ~zero).any():
+    if m_part & ~zero:
         raise ConsistencyError("an adjoined event is not a zero set")
-    if (m_part & ~m_prime).any():
+    if m_part & ~m_prime:
         raise ConsistencyError(
             "adjoined events are not maximal among support-free events"
         )
-    if (m_prime & ~m_part & ~subset_closure(minimal, "down")).any():
+    if m_prime & ~m_part & ~subset_closure(minimal, n, "down"):
         raise ConsistencyError(
             "a maximal support-free event neither joined the antichain"
             " nor sits under a support"
         )
-    in_down = subset_closure(a_prime, "down")
-    if (zero & ~in_down).any():
+    in_down = subset_closure(a_prime, n, "down")
+    if zero & ~in_down:
         raise ConsistencyError("a zero set escapes the derived down-closure")
 
-    derived = _antichain_unchecked(space, _masks(a_prime))
+    derived = _antichain_unchecked(space, _set_bits(a_prime))
     ok, _ = is_inextendible(derived)
     if not ok:
         raise ConsistencyError("the derived antichain is not inextendible")
 
     # chain property: every unprecluded event sits above a support, and
     # every other positive-measure event sits under a derived element
-    covered = in_up | in_down | zero
-    if not covered[1:].all():
+    if in_up | in_down | zero | 1 != full:
         raise ConsistencyError("a positive-measure event escapes the chain split")
 
     return PreclusionStructure(
-        zero_sets=frozenset(space.event_from_mask(z) for z in _masks(zero)),
-        ppc_supports=_antichain_unchecked(space, _masks(minimal)),
+        zero_sets=frozenset(space.event_from_mask(z) for z in _set_bits(zero)),
+        ppc_supports=_antichain_unchecked(space, _set_bits(minimal)),
         derived=derived,
-        m_part=frozenset(space.event_from_mask(m) for m in _masks(m_part)),
+        m_part=frozenset(space.event_from_mask(m) for m in _set_bits(m_part)),
     )
 
 

@@ -213,7 +213,7 @@ def _scan_one(args: tuple[int, tuple[int, ...]]) -> tuple[bool, Optional[str]]:
     return decide(space, [Event(m, space) for m in masks]).is_cover, None
 
 
-def scan(space: HistorySpace, *, workers: int = 1, n_limit: int = 5) -> ScanReport:
+def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
     """Decide every inextendible antichain of the space.
 
     Each antichain is decided on its sorted member masks, rank first.  If
@@ -232,7 +232,7 @@ def scan(space: HistorySpace, *, workers: int = 1, n_limit: int = 5) -> ScanRepo
         raise ValueError("workers must be positive")
     t0 = time.perf_counter()
     n = space.n
-    payload = [(n, masks) for masks in _inextendible_masks(n, n_limit)]
+    payload = [(n, masks) for masks in _inextendible_masks(n)]
     if workers == 1 or len(payload) < 4:
         results = [_scan_one(item) for item in payload]
     else:

@@ -171,7 +171,7 @@ class HistorySpace(JsonRecord):
 
     @classmethod
     def from_json(cls, data: dict) -> HistorySpace:
-        return cls(int(data["n"]))
+        return cls(data["n"])
 
 
 @dataclass(frozen=True)
@@ -334,33 +334,27 @@ def _lanes(n: int) -> tuple[int, ...]:
 
 
 def subset_closure(
-    flags: np.ndarray, direction: str, *, strict: bool = False
-) -> np.ndarray:
-    """Close a flag array indexed by mask upward or downward.
+    flags: int, n: int, direction: str, *, strict: bool = False
+) -> int:
+    """Close a flag set over an n-history space upward or downward.
 
-    ``flags`` has one entry per event of an n-history space (length 2^n).
-    With ``"up"`` an event comes out flagged when some flagged event lies
+    A flag set packs one bit per event into a Python int: bit m set means
+    the event with mask m is flagged, so it lies in 0..2^(2^n) - 1.  With
+    ``"up"`` an event comes out flagged when some flagged event lies
     inside it, with ``"down"`` when some flagged event contains it.  This
     is the OR zeta transform over the subset lattice, O(n 2^n) bit
-    operations, run on one Python int that packs the flags one bit per
-    mask: per bit i, one shift by 2^i under the lane of masks with bit i
-    clear ORs every entry into its neighbour across bit i, all 2^n at
-    once.  Bit operations are exact, so the flags are those of one numpy
-    pass per bit, entry for entry, at a fraction of the cost: a closure
-    takes 14-23 us against 115-140 us at n = 12, and 1.7-3.3 ms against
-    15-17 ms at n = 20 (one core of a shared 2-vCPU VM, numpy 2.4).  The
-    lanes are built once per n.  With ``strict=True`` only proper subsets
-    (or supersets) count: the closed set is shifted once per bit into a
-    fresh int, so ``flags & ~subset_closure(flags, "up", strict=True)``
-    selects the minimal flagged events and ``"down"`` the maximal ones.
-    The input may be bool or integer (nonzero is flagged) and is left
-    unchanged; the result is a new bool array of the same shape.
+    operations: per bit i, one shift by 2^i under the lane of masks with
+    bit i clear ORs every event into its neighbour across bit i, all 2^n
+    at once.  The lanes are built once per n.  With ``strict=True`` only
+    proper subsets (or supersets) count: the closed set is shifted once
+    per bit into a fresh int, so ``flags & ~subset_closure(flags, n, "up",
+    strict=True)`` selects the minimal flagged events and ``"down"`` the
+    maximal ones.
     """
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    n = flags.size.bit_length() - 1
-    if flags.size != 1 << n:
-        raise ValueError(f"flag array length {flags.size} is not a power of two")
+    if not 0 <= flags < 1 << (1 << n):
+        raise ValueError(f"flag set out of range for n={n}")
     up = direction == "up"
 
     def step(x: int, i: int, lane: int) -> int:
@@ -368,21 +362,24 @@ def subset_closure(
         # or cleared ("down")
         return (x & lane) << (1 << i) if up else (x >> (1 << i)) & lane
 
-    bits = np.packbits(
-        np.asarray(flags, dtype=bool), axis=None, bitorder="little"
-    )
-    closed = int.from_bytes(bits.tobytes(), "little")
     lanes = _lanes(n)
+    closed = flags
     for i, lane in enumerate(lanes):
         closed |= step(closed, i, lane)
-    out = closed
-    if strict:
-        out = 0
-        for i, lane in enumerate(lanes):
-            out |= step(closed, i, lane)
-    packed = np.frombuffer(out.to_bytes(bits.size, "little"), dtype=np.uint8)
-    unpacked = np.unpackbits(packed, count=flags.size, bitorder="little")
-    return unpacked.view(bool).reshape(flags.shape)
+    if not strict:
+        return closed
+    proper = 0
+    for i, lane in enumerate(lanes):
+        proper |= step(closed, i, lane)
+    return proper
+
+
+def _set_bits(flags: int) -> list[int]:
+    """The flagged masks of a flag set, ascending."""
+    raw = np.frombuffer(
+        flags.to_bytes((flags.bit_length() + 7) // 8, "little"), dtype=np.uint8
+    )
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def closure(
@@ -402,13 +399,12 @@ def closure(
     seeds = list(events)
     if not seeds:
         raise ValueError("closure needs at least one event")
-    flags = np.zeros(1 << space.n, dtype=bool)
+    flags = 0
     for e in seeds:
         if e.space != space:
             raise SpaceMismatchError("event does not belong to the given space")
         if e.mask == 0:
             raise ValueError("closure is defined over nonempty events")
-        flags[e.mask] = True
-    closed = subset_closure(flags, direction)
-    closed[0] = False
-    return {Event(m, space) for m in np.flatnonzero(closed).tolist()}
+        flags |= 1 << e.mask
+    closed = subset_closure(flags, space.n, direction) & ~1
+    return {Event(m, space) for m in _set_bits(closed)}

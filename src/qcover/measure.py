@@ -119,7 +119,7 @@ class DecoherenceFunctional:
     def from_json(
         cls, data: dict, *, hermitize: bool = False
     ) -> "DecoherenceFunctional":
-        n = int(data["n"])
+        n = HistorySpace(data["n"]).n
         rows = data["entries"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("entries shape does not match n")

@@ -24,11 +24,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceLimitError
 from .histories import JsonRecord
 
 RAY_COUNT = 33
 BASIS_COUNT = 16
+
+# sample_coverage holds about 18 bytes per sample at once (the masks, the
+# coverage flags and one event's temporaries), about 180 MB at the cap
+SAMPLE_MAX = 10_000_000
 
 Zr2 = tuple[int, int]
 
@@ -250,7 +254,8 @@ class PKSEvent:
 
     def holds(self, mask: int) -> bool:
         """Membership of the coloring whose green rays are ``mask``: the
-        one bit test every membership claim goes through."""
+        one bit test every membership claim goes through.  A uint64 array
+        of masks is answered elementwise."""
         return mask & self.bits == (0 if self.kind == "red_basis" else self.bits)
 
     def contains(self, coloring: Coloring) -> bool:
@@ -418,10 +423,10 @@ def search_consistent_coloring(
     if sat:
         witness = Coloring(sum(1 << i for i, c in color.items() if c == _GREEN))
         for b in bases:
-            if all(not witness.is_green(r) for r in b):
+            if PKSEvent("red_basis", b).holds(witness.mask):
                 raise ConsistencyError("search returned a coloring with an all-red basis")
-        for i, j in pairs:
-            if witness.is_green(i) and witness.is_green(j):
+        for p in pairs:
+            if PKSEvent("green_pair", p).holds(witness.mask):
                 raise ConsistencyError("search returned a coloring with a green pair")
     return SearchOutcome(
         satisfiable=sat,
@@ -558,16 +563,16 @@ def sample_coverage(
     obstruction event (the sampling half of the unsatisfiability story)."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > SAMPLE_MAX:
+        raise ResourceLimitError(
+            f"coverage sampling is capped at {SAMPLE_MAX:,} samples, got {samples:,}"
+        )
     st = structure if structure is not None else peres_structure()
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 1 << RAY_COUNT, size=samples, dtype=np.uint64)
     covered = np.zeros(samples, dtype=bool)
     for e in pks_events(st):
-        bits = np.uint64(e.bits)
-        if e.kind == "red_basis":
-            covered |= (masks & bits) == 0
-        else:
-            covered |= (masks & bits) == bits
+        covered |= e.holds(masks)
     hit = int(covered.sum())
     return CoverageReport(
         samples=samples, covered=hit, all_covered=hit == samples

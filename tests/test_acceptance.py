@@ -145,7 +145,7 @@ class TestConjectureScan:
         assert scan(HistorySpace(4)).total == len(oracle)
 
     def test_n5_extended_run(self):
-        rep = scan(HistorySpace(5), n_limit=5)
+        rep = scan(HistorySpace(5))
         assert rep.counterexamples == ()
         assert rep.total == 375
         assert rep.covers == 375

@@ -124,9 +124,7 @@ class TestEnumeration:
 
     def test_limits(self):
         with pytest.raises(ResourceLimitError):
-            list(enumerate_inextendible(HistorySpace(6)))
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_inextendible(HistorySpace(7), n_limit=7))
+            list(enumerate_inextendible(HistorySpace(7)))
 
 
 class TestClassify:

@@ -6,6 +6,7 @@ import pytest
 import qcover.cli as cli
 from qcover import ConsistencyError, HistorySpace, enumerate_inextendible
 from qcover.cli import main
+from qcover.pks import SAMPLE_MAX
 
 
 def run(capsys, *argv):
@@ -196,7 +197,31 @@ class TestSubcommands:
 class TestExitCodes:
     def test_bad_n(self, capsys):
         assert main(["scan", "--n", "0"]) == 2
+        # the enumeration's one cap, n <= 6
+        assert main(["scan", "--n", "7"]) == 2
+        assert main(["antichain", "enumerate", "--n", "7"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [6.7, "6", True])
+    def test_non_integer_n_in_files(self, capsys, tmp_path, n):
+        # int() would read these as n = 6, 6 and 1, which the files fit
+        k = 1 if n is True else 6
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(
+            {"n": n, "elements": [list(range(1, k + 1))]}))
+        functional = tmp_path / "d.json"
+        functional.write_text(json.dumps({"n": n, "entries": [
+            [[float(i == j), 0.0] for j in range(k)] for i in range(k)]}))
+        for argv in (["cover-check", "--antichain", str(family)],
+                     ["antichain", "classify", "--antichain", str(family)],
+                     ["coevents", "--dmatrix", str(functional)]):
+            assert main(argv) == 2, argv
+            assert "must be an integer" in capsys.readouterr().err
+
+    def test_sample_cap(self, capsys):
+        # refused before anything is drawn
+        assert main(["pks", "sample", "--samples", str(SAMPLE_MAX + 1)]) == 2
+        assert "capped" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--dmatrix", "/no/such/file.json"]) == 2

@@ -19,7 +19,13 @@ from qcover import (
     sample_spd,
     zero_sets,
 )
-from qcover.histories import CLOSURE_MAX_N, _lanes, closure, subset_closure
+from qcover.histories import (
+    CLOSURE_MAX_N,
+    _lanes,
+    _set_bits,
+    closure,
+    subset_closure,
+)
 
 
 def labelsets(events):
@@ -146,6 +152,21 @@ def numpy_closure(flags, direction, strict):
     return proper
 
 
+def pack(flags):
+    """The flag set of a bool array indexed by mask: bit m for entry m."""
+    bits = np.packbits(flags, bitorder="little").tobytes()
+    return int.from_bytes(bits, "little")
+
+
+def packed_closure(flags, direction, strict):
+    """subset_closure on the flag set of ``flags``, back as a bool array;
+    from n = 3 on, ``to_bytes`` raises if a bit at or above 2^n is set."""
+    n = flags.size.bit_length() - 1
+    got = subset_closure(pack(flags), n, direction, strict=strict)
+    raw = np.frombuffer(got.to_bytes((flags.size + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=flags.size, bitorder="little").view(bool)
+
+
 CASES = [(d, s) for d in ("up", "down") for s in (False, True)]
 
 
@@ -156,8 +177,7 @@ class TestSubsetClosure:
         for density in (0.01, 0.3, 0.8):
             flags = rng.random(1 << n) < density
             for direction, strict in CASES:
-                got = subset_closure(flags, direction, strict=strict)
-                assert got.dtype == bool and got.shape == flags.shape
+                got = packed_closure(flags, direction, strict)
                 assert np.array_equal(
                     got, numpy_closure(flags, direction, strict)
                 ), (density, direction, strict)
@@ -170,7 +190,7 @@ class TestSubsetClosure:
         flags[rng.integers(0, 1 << n, size=6)] = True
         flags[[1 << (n - 1), (1 << n) - 2, 0b1011]] = True
         for direction, strict in CASES:
-            got = subset_closure(flags, direction, strict=strict)
+            got = packed_closure(flags, direction, strict)
             want = numpy_closure(flags, direction, strict)
             assert np.array_equal(got, want), (direction, strict)
             assert 0 < np.count_nonzero(got) < got.size
@@ -189,20 +209,6 @@ class TestSubsetClosure:
             space, [space.event_from_mask(m) for m in large], "up")}
         assert up == {full ^ s for s in want_down} | {full}
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
-    def test_integer_inputs_left_unmodified(self, dtype):
-        rng = np.random.default_rng(5)
-        values = (rng.random(1 << 10) < 0.05) * rng.integers(1, 200, 1 << 10)
-        flags = np.array(values, dtype=dtype)
-        before = flags.copy()
-        for direction, strict in CASES:
-            got = subset_closure(flags, direction, strict=strict)
-            assert got.dtype == bool
-            assert np.array_equal(
-                got, numpy_closure(flags != 0, direction, strict))
-        assert flags.dtype == before.dtype
-        assert np.array_equal(flags, before)
-
     def test_lanes_match_definition(self):
         for n in range(0, 13):
             lanes = _lanes(n)
@@ -218,7 +224,7 @@ class TestSubsetClosure:
                 flags = rng.random(1 << n) < density
                 for direction in ("up", "down"):
                     for strict in (False, True):
-                        got = subset_closure(flags, direction, strict=strict)
+                        got = packed_closure(flags, direction, strict)
                         assert np.array_equal(
                             got, brute_closure(flags, direction, strict)
                         ), (n, density, direction, strict)
@@ -227,27 +233,31 @@ class TestSubsetClosure:
         rng = np.random.default_rng(8)
         for n in range(1, 9):
             size = 1 << n
-            flags = rng.random(size) < 0.3
-            minimal = flags & ~subset_closure(flags, "up", strict=True)
-            maximal = flags & ~subset_closure(flags, "down", strict=True)
-            sel = np.flatnonzero(flags).tolist()
+            sel = [m for m in range(size) if rng.random() < 0.3]
+            flags = sum(1 << m for m in sel)
+            minimal = flags & ~subset_closure(flags, n, "up", strict=True)
+            maximal = flags & ~subset_closure(flags, n, "down", strict=True)
             want_min = [m for m in sel
                         if not any(s != m and s & m == s for s in sel)]
             want_max = [m for m in sel
                         if not any(s != m and s & m == m for s in sel)]
-            assert np.flatnonzero(minimal).tolist() == want_min
-            assert np.flatnonzero(maximal).tolist() == want_max
+            assert _set_bits(minimal) == want_min
+            assert _set_bits(maximal) == want_max
 
-    def test_input_is_not_modified(self):
-        flags = np.array([False, True, False, False])
-        subset_closure(flags, "up")
-        assert flags.tolist() == [False, True, False, False]
+    def test_set_bits_lists_ascending(self):
+        rng = random.Random(9)
+        assert _set_bits(0) == []
+        for size in (1, 7, 8, 9, 64, 4096):
+            want = sorted(rng.sample(range(size), rng.randint(1, size)))
+            assert _set_bits(sum(1 << m for m in want)) == want
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            subset_closure(np.zeros(4, dtype=bool), "sideways")
-        with pytest.raises(ValueError):
-            subset_closure(np.zeros(6, dtype=bool), "up")
+            subset_closure(0, 2, "sideways")
+        for flags in (-1, 1 << 4, 1 << 300):
+            with pytest.raises(ValueError):
+                subset_closure(flags, 2, "up")
+        assert subset_closure((1 << 16) - 1, 4, "down") == (1 << 16) - 1
 
 
 class TestSupports:
@@ -329,6 +339,25 @@ class TestDerived:
                 assert derived_antichain(d).to_json() == ps
                 found += len(ps["zero_sets"])
         assert found > 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_flags_packed_once(self, monkeypatch, exact):
+        # the zero rule's comparison is packed into one int, and every
+        # later pass, closures and the inextendibility check included,
+        # stays on ints
+        space = HistorySpace(10)
+        d = sample_spd(
+            10, rank=4, seed=(3, 10),
+            annihilate=(space.event([1, 2]), space.event([3, 4, 5])),
+        )
+        calls = []
+        real = np.packbits
+        monkeypatch.setattr(
+            np, "packbits", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        ps = derived_antichain(d, exact=exact)
+        assert len(calls) == 1
+        assert ps.zero_sets and ps.m_part
 
     def test_json_shape(self, d3):
         data = derived_antichain(d3).to_json()

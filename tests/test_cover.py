@@ -29,7 +29,7 @@ from qcover.ratspan import gf2_rank, span_solve
 
 @lru_cache(maxsize=None)
 def inextendible(n):
-    return tuple(enumerate_inextendible(HistorySpace(n), n_limit=n))
+    return tuple(enumerate_inextendible(HistorySpace(n)))
 
 
 def reference_levels(ac):
@@ -330,7 +330,7 @@ class TestScan:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_object_path(self, n):
-        got = scan(HistorySpace(n), n_limit=n).to_json()
+        got = scan(HistorySpace(n)).to_json()
         got.pop("elapsed_ms")
         assert got == reference_scan(HistorySpace(n))
 

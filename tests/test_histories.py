@@ -49,6 +49,9 @@ class TestHistorySpace:
     def test_json_roundtrip(self, space4):
         assert space4.to_json() == {"n": 4}
         assert HistorySpace.from_json({"n": 4}) == space4
+        for n in (4.0, 6.7, "4", True):
+            with pytest.raises(ValueError):
+                HistorySpace.from_json({"n": n})
 
 
 class TestEvent:

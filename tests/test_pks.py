@@ -1,6 +1,7 @@
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qcover import (
@@ -8,6 +9,7 @@ from qcover import (
     ConsistencyError,
     PKSEvent,
     Ray,
+    ResourceLimitError,
     orthogonal_structure,
     peres_rays,
     pks_comparability,
@@ -16,7 +18,7 @@ from qcover import (
     search_consistent_coloring,
     witness_check,
 )
-from qcover.pks import RAY_COUNT
+from qcover.pks import RAY_COUNT, SAMPLE_MAX
 
 # the orthogonal-pair count of the 33-ray set, frozen from an exhaustive
 # exact computation
@@ -281,6 +283,26 @@ class TestComparability:
             with pytest.raises(ConsistencyError, match="countercoloring"):
                 pks_comparability(PKSEvent(*e1), PKSEvent(*e2))
 
+    def test_sampling_counts_through_holds(self, structure, monkeypatch):
+        # a membership test that drops every coloring with ray 0 green
+        # leaves exactly the samples with ray 0 red covered
+        honest = PKSEvent.holds
+        monkeypatch.setattr(
+            PKSEvent, "holds", lambda e, mask: honest(e, mask) & (mask & 1 == 0)
+        )
+        masks = np.random.default_rng(3).integers(
+            0, 1 << RAY_COUNT, size=2_000, dtype=np.uint64)
+        rep = sample_coverage(structure, samples=2_000, seed=3)
+        assert rep.covered == int(np.count_nonzero(masks & 1 == 0))
+        assert not rep.all_covered
+
+    def test_search_self_check_asks_holds(self, structure, monkeypatch):
+        basis = structure.bases[0].indices
+        assert search_consistent_coloring(structure, restrict=basis).satisfiable
+        monkeypatch.setattr(PKSEvent, "holds", lambda e, mask: True)
+        with pytest.raises(ConsistencyError, match="all-red basis"):
+            search_consistent_coloring(structure, restrict=basis)
+
     def test_witness_check_confirms_every_pair(self, structure, monkeypatch):
         # the all-red coloring enters the witness only through the
         # pairwise pass, so a lie on it must surface there
@@ -332,3 +354,6 @@ class TestSampling:
     def test_validation(self, structure):
         with pytest.raises(ValueError):
             sample_coverage(structure, samples=0, seed=1)
+        # refused before anything is drawn
+        with pytest.raises(ResourceLimitError):
+            sample_coverage(structure, samples=SAMPLE_MAX + 1, seed=1)

@@ -127,7 +127,7 @@ def test_matches_fraction_reference_on_random_families(n):
 def test_exhaustive_inextendible_antichains_reconstruct_omega():
     for n in range(1, 6):
         space = HistorySpace(n)
-        for ac in enumerate_inextendible(space, n_limit=n):
+        for ac in enumerate_inextendible(space):
             coeffs = span_solve(n, list(ac.masks), space.full_mask)
             assert coeffs is not None
             assert reconstructs(n, ac.masks, space.full_mask, coeffs)
