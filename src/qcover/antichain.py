@@ -16,14 +16,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConsistencyError, ResourceLimitError, SpaceMismatchError
 from .histories import (
     Event,
     HistorySpace,
     JsonRecord,
-    level_elements,
+    _gosper_masks,
+    pack_flags,
     subset_closure,
 )
 
@@ -125,11 +126,21 @@ def _comparable_pair(masks: list[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _antichain_unchecked(space: HistorySpace, masks: Iterable[int]) -> Antichain:
+def _antichain_unchecked(
+    space: HistorySpace,
+    masks: Iterable[int],
+    events: Optional[Sequence[Event]] = None,
+) -> Antichain:
+    # events, when given, holds the Event of every mask of the space, to
+    # be shared: Events are immutable and compare by value
     ac = Antichain.__new__(Antichain)
     masks = tuple(masks)
+    if events is None:
+        elements = tuple(Event(m, space) for m in masks)
+    else:
+        elements = tuple(map(events.__getitem__, masks))
     object.__setattr__(ac, "space", space)
-    object.__setattr__(ac, "elements", tuple(Event(m, space) for m in masks))
+    object.__setattr__(ac, "elements", elements)
     object.__setattr__(ac, "masks", masks)
     return ac
 
@@ -160,17 +171,22 @@ def is_inextendible(ac: Antichain) -> tuple[bool, Optional[Event]]:
     each, and the witness is the lowest bit that neither sets.
     """
     space = ac.space
-    n = space.n
-    flags = 0
-    for m in ac.masks:
-        flags |= 1 << m
+    missing = _missing_event(pack_flags(ac.masks, space.n), space.n)
+    if missing is None:
+        return True, None
+    return False, Event(missing, space)
+
+
+def _missing_event(flags: int, n: int) -> Optional[int]:
+    # is_inextendible on a flag set: the smallest mask comparable to no
+    # flagged event, or None when there is none
     comparable = (
         subset_closure(flags, n, "up") | subset_closure(flags, n, "down") | 1
     )
     if comparable == (1 << (1 << n)) - 1:
-        return True, None
+        return None
     # the lowest clear bit of comparable is the smallest missing event
-    return False, Event((~comparable & (comparable + 1)).bit_length() - 1, space)
+    return (~comparable & (comparable + 1)).bit_length() - 1
 
 
 def _incomparability_adjacency(n: int) -> list[int]:
@@ -242,20 +258,26 @@ def enumerate_inextendible(space: HistorySpace) -> Iterator[Antichain]:
     The walk visits all 2^n - 1 nonempty events, so it is capped at
     n <= HARD_ENUM_MAX_N = 6, where it yields 31,745 antichains.
     """
+    # one Event per mask, shared by the 255,475 members at n = 6
+    events = [Event(m, space) for m in range(1 << space.n)]
     for masks in _inextendible_masks(space.n):
-        yield _antichain_unchecked(space, masks)
+        yield _antichain_unchecked(space, masks, events)
 
 
 @lru_cache(maxsize=HARD_ENUM_MAX_N)
-def _label_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _label_table(n: int) -> tuple[list[int], ...]:
+    # one label list per mask, shared by every report that lists the mask:
+    # an n = 6 scan lists 255,475 members, and as many fresh lists would
+    # be that many more objects for the cyclic collector to walk
     space = HistorySpace(n)
-    return tuple(Event(m, space).labels for m in range(1 << n))
+    return tuple(list(Event(m, space).labels) for m in range(1 << n))
 
 
 def _masks_json(n: int, masks: Iterable[int]) -> dict:
-    """``Antichain.to_json`` from bare masks, for n <= HARD_ENUM_MAX_N."""
+    """``Antichain.to_json`` from bare masks, for n <= HARD_ENUM_MAX_N; the
+    label lists are ``_label_table``'s own, to serialize, not to edit."""
     table = _label_table(n)
-    return {"n": n, "elements": [list(table[m]) for m in masks]}
+    return {"n": n, "elements": [table[m] for m in masks]}
 
 
 @dataclass(frozen=True)
@@ -374,8 +396,7 @@ def generate(space: HistorySpace, kind: str, **params) -> Antichain:
         k = value
         if not 1 <= k <= n:
             raise ValueError(f"level k={k} out of range 1..{n}")
-        events = level_elements(space, k)
-        ac = _antichain_unchecked(space, [e.mask for e in events])
+        ac = _antichain_unchecked(space, _gosper_masks(n, k))
         if len(ac) != math.comb(n, k):
             raise ConsistencyError("level family has the wrong size")
         # a full level is maximal by construction: any event of another

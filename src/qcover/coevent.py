@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antichain import Antichain, _antichain_unchecked, is_inextendible
+from .antichain import Antichain, _antichain_unchecked, _missing_event
 from .errors import ConsistencyError, NoCoeventError, ResourceLimitError
 from .histories import Event, _set_bits, subset_closure
 from .measure import TOL_ZERO, DecoherenceFunctional, _measure_table, mu_table
@@ -184,9 +184,7 @@ def derived_antichain(
     if zero & ~in_down:
         raise ConsistencyError("a zero set escapes the derived down-closure")
 
-    derived = _antichain_unchecked(space, _set_bits(a_prime))
-    ok, _ = is_inextendible(derived)
-    if not ok:
+    if _missing_event(a_prime, n) is not None:
         raise ConsistencyError("the derived antichain is not inextendible")
 
     # chain property: every unprecluded event sits above a support, and
@@ -197,7 +195,7 @@ def derived_antichain(
     return PreclusionStructure(
         zero_sets=frozenset(space.event_from_mask(z) for z in _set_bits(zero)),
         ppc_supports=_antichain_unchecked(space, _set_bits(minimal)),
-        derived=derived,
+        derived=_antichain_unchecked(space, _set_bits(a_prime)),
         m_part=frozenset(space.event_from_mask(m) for m in _set_bits(m_part)),
     )
 

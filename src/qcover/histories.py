@@ -54,13 +54,14 @@ def _json_value(value):
 
 
 _INT_ONLY = frozenset((int,))
+_FLOAT_ONLY = frozenset((float,))
 _LITERALS = {None: "null", True: "true", False: "false"}
 # json's spellings of the floats that float.__repr__ writes as nan and inf
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _write_json(obj, write: Callable[[str], object], ind: str = "",
-                lead: str = "") -> None:
+                lead: str = "", memo: dict | None = None) -> None:
     """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)``.
 
     The bytes are the same, and ``write`` is ``fh.write``.  Dicts go out
@@ -68,9 +69,13 @@ def _write_json(obj, write: Callable[[str], object], ind: str = "",
     held at a time: an n = 6 scan report is about 20 MB of text.  ``lead``
     (a separator, a key) goes out in one write with the value's first
     chunk.  A list of exact ints is joined in one call, which is most of
-    that report.  Types are tested as ``json`` tests them, so ``True``
-    prints ``true`` and a float subclass prints as a float.  Unsupported
-    values and non-``str`` keys raise TypeError.
+    that report; inside a list, so is a list of exact floats.  Types are
+    tested as ``json`` tests them, so ``True`` prints ``true`` and a float
+    subclass prints as a float.  Unsupported values and non-``str`` keys
+    raise TypeError.  ``memo`` holds, for one top-level call, the text of
+    each int list met inside a list, keyed by its indentation and then by
+    its values; a list holding a bool never reaches it, since ``True ==
+    1`` would find the text of ``1``.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -81,31 +86,51 @@ def _write_json(obj, write: Callable[[str], object], ind: str = "",
         if _INT_ONLY.issuperset(map(type, obj)):
             write(f"{lead}[\n{inner}{sep.join(map(int.__repr__, obj))}\n{ind}]")
             return
+        if memo is None:
+            memo = {}
         deeper = inner + "  "
         deeper_sep = ",\n" + deeper
         head = f"{lead}[\n{inner}"
+        texts = None  # this depth's memo, looked up at its first int list
         for value in obj:
-            # the int-list case above, without a call: an n = 6 scan
-            # report has 255,475 label lists inside lists
+            # the int-list case above, without a call and at most once per
+            # distinct list: an n = 6 scan report has 255,475 label lists
+            # inside lists, drawn from 63
             if (type(value) is list and value
                     and _INT_ONLY.issuperset(map(type, value))):
-                text = deeper_sep.join(map(int.__repr__, value))
-                write(f"{head}[\n{deeper}{text}\n{inner}]")
+                if texts is None:
+                    texts = memo.setdefault(inner, {})
+                key = tuple(value)
+                text = texts.get(key)
+                if text is None:
+                    body = deeper_sep.join(map(int.__repr__, value))
+                    text = texts[key] = f"[\n{deeper}{body}\n{inner}]"
+                write(head + text)
+            elif (type(value) is list and value
+                    and _FLOAT_ONLY.issuperset(map(type, value))):
+                # a witness entry [re, im], also without a call; floats
+                # are not memoized, since 0.0 == -0.0
+                body = deeper_sep.join(
+                    [_NON_FINITE.get(t, t) for t in map(float.__repr__, value)]
+                )
+                write(f"{head}[\n{deeper}{body}\n{inner}]")
             else:
-                _write_json(value, write, inner, head)
+                _write_json(value, write, inner, head, memo)
             head = sep
         write(f"\n{ind}]")
     elif isinstance(obj, dict):
         if not obj:
             write(lead + "{}")
             return
+        if memo is None:
+            memo = {}
         inner = ind + "  "
         sep = ",\n" + inner
         head = f"{lead}{{\n{inner}"
         for key in sorted(obj):
             # encode_basestring_ascii raises TypeError on a non-str key
             _write_json(obj[key], write, inner,
-                        f"{head}{encode_basestring_ascii(key)}: ")
+                        f"{head}{encode_basestring_ascii(key)}: ", memo)
             head = sep
         write(f"\n{ind}}}")
     elif isinstance(obj, str):
@@ -333,6 +358,18 @@ def _lanes(n: int) -> tuple[int, ...]:
     return tuple(lanes)
 
 
+def pack_flags(masks: Iterable[int], n: int) -> int:
+    """The flag set of the given event masks over an n-history space.
+
+    The bits go into a bytearray and become one int at the end, since
+    ORing ``1 << m`` into the int would copy all 2^n bits per mask.
+    """
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
 def subset_closure(
     flags: int, n: int, direction: str, *, strict: bool = False
 ) -> int:
@@ -399,12 +436,11 @@ def closure(
     seeds = list(events)
     if not seeds:
         raise ValueError("closure needs at least one event")
-    flags = 0
     for e in seeds:
         if e.space != space:
             raise SpaceMismatchError("event does not belong to the given space")
         if e.mask == 0:
             raise ValueError("closure is defined over nonempty events")
-        flags |= 1 << e.mask
+    flags = pack_flags((e.mask for e in seeds), space.n)
     closed = subset_closure(flags, space.n, direction) & ~1
     return {Event(m, space) for m in _set_bits(closed)}

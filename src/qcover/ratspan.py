@@ -8,14 +8,19 @@ orthogonal projectors alike: it runs fraction-free over Python ints
 ``pv * row - f * pivot_row`` followed by division by the row's gcd, so
 entries stay small integers.  Results are integers over one denominator,
 or a ``Fraction`` per final coefficient; nothing here touches floating
-point.
+point.  ``full_rank_mod_p`` is a batched filter in front of that loop: it
+proves full rank for most families at once, by elimination mod a prime,
+and leaves the rest to the exact loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError
 
@@ -122,13 +127,47 @@ def complement_projector(
     return num, den
 
 
-def gf2_rank(member_masks: Iterable[int]) -> int:
-    """Rank of the indicator vectors over GF(2), by an XOR basis.  It is
-    never above their rank over Q, since a minor odd mod 2 is nonzero."""
-    basis: dict[int, int] = {}  # leading bit -> basis vector
-    for m in member_masks:
-        while m.bit_length() in basis:
-            m ^= basis[m.bit_length()]
-        if m:
-            basis[m.bit_length()] = m
-    return len(basis)
+# a 31-bit prime: residues below it multiply to less than 2^62, so every
+# product and difference of the elimination fits in int64
+_PRIME = 2**31 - 1
+# families per batch, so the bit and Gram arrays stay a few MB each
+_CHUNK = 4096
+
+
+def full_rank_mod_p(n: int, families: Sequence[Sequence[int]]) -> np.ndarray:
+    """One bool per family: True proves its members' indicators span Q^n.
+
+    For the m x n indicator matrix M, G = M^T M is n x n: G_ij counts the
+    members holding both histories i and j.  G is eliminated mod the
+    prime p = 2^31 - 1 without division or row exchanges, each row below
+    the pivot becoming ``piv * row - f * pivot_row``.  While piv is
+    nonzero mod p such a step keeps the rank over GF(p), so n nonzero
+    pivots mean det G is nonzero mod p, hence nonzero: rank n over Q.
+    False is no verdict: for a family of rank n, G is positive definite,
+    so a False means p divides one of its leading principal minors.
+    Members may repeat (fewer than p of them); families go through numpy
+    ``_CHUNK`` at a time.
+    """
+    out = np.empty(len(families), dtype=bool)
+    shifts = np.arange(n, dtype=np.int64)
+    for start in range(0, len(families), _CHUNK):
+        part = families[start : start + _CHUNK]
+        sizes = np.fromiter(map(len, part), dtype=np.int64, count=len(part))
+        flat = np.fromiter(
+            chain.from_iterable(part), dtype=np.int64, count=int(sizes.sum())
+        )
+        # one row per family, padded with the empty mask, which adds nothing
+        padded = np.zeros((len(part), int(sizes.max(initial=0))), dtype=np.int64)
+        rows = np.repeat(np.arange(len(part)), sizes)
+        cols = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        padded[rows, cols] = flat
+        bits = (padded[:, :, None] >> shifts) & 1
+        gram = bits.transpose(0, 2, 1) @ bits
+        ok = np.ones(len(part), dtype=bool)
+        for _ in range(n):
+            piv = gram[:, :1, :1]
+            ok &= piv[:, 0, 0] != 0
+            below = piv * gram[:, 1:, 1:] - gram[:, 1:, :1] * gram[:, :1, 1:]
+            gram = below % _PRIME
+        out[start : start + len(part)] = ok
+    return out

@@ -1,7 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from qcover import DecoherenceFunctional, HistorySpace
+from qcover import DecoherenceFunctional, HistorySpace, enumerate_inextendible
 
 
 @pytest.fixture
@@ -12,6 +14,18 @@ def space3():
 @pytest.fixture
 def space4():
     return HistorySpace(4)
+
+
+@pytest.fixture(scope="session")
+def inextendible():
+    """n -> the inextendible antichains of HistorySpace(n), as a tuple.
+
+    Each n is enumerated once per session: at n = 6 that is 31,745
+    antichains, which several test modules walk.
+    """
+    return lru_cache(maxsize=None)(
+        lambda n: tuple(enumerate_inextendible(HistorySpace(n)))
+    )
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from qcover import (
     is_antichain,
     is_inextendible,
 )
-from qcover.antichain import _antichain_unchecked
+from qcover.antichain import _antichain_unchecked, _label_table
+from qcover.cli import main
 
 
 class TestConstruction:
@@ -78,6 +79,20 @@ class TestPredicates:
         assert not ok
         assert witness == space3.event([1, 3])
 
+    @pytest.mark.parametrize("n, k", [(12, 6), (16, 8)])
+    def test_complete_level_and_one_missing(self, n, k):
+        # every other event nests with a second level element, so the
+        # removed one is the only event that can come back
+        space = HistorySpace(n)
+        level = generate(space, "level", k=k)
+        assert len(level) == math.comb(n, k)
+        assert is_inextendible(level) == (True, None)
+        for drop in (0, len(level) // 2, len(level) - 1):
+            masks = level.masks[:drop] + level.masks[drop + 1 :]
+            ok, witness = is_inextendible(_antichain_unchecked(space, masks))
+            assert not ok
+            assert witness == level.elements[drop]
+
     def test_full_level_inextendible(self, space3):
         ac = Antichain([space3.event(p) for p in ([1, 2], [1, 3], [2, 3])])
         ok, witness = is_inextendible(ac)
@@ -125,6 +140,17 @@ class TestEnumeration:
     def test_limits(self):
         with pytest.raises(ResourceLimitError):
             list(enumerate_inextendible(HistorySpace(7)))
+
+    def test_shared_label_table_survives_the_cli(self, capsys):
+        # scan and enumerate reports hold the table's own label lists
+        table = _label_table(6)
+        before = [list(labels) for labels in table]
+        assert main(["scan", "--n", "6"]) == 0
+        assert main(["antichain", "enumerate", "--n", "6"]) == 0
+        assert capsys.readouterr().out
+        assert _label_table(6) is table
+        assert [list(labels) for labels in table] == before
+        assert before[0b101101] == [1, 3, 4, 6]
 
 
 class TestClassify:

@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,12 +23,7 @@ from qcover import (
     validate,
 )
 from qcover import cover as cover_module
-from qcover.ratspan import gf2_rank, span_solve
-
-
-@lru_cache(maxsize=None)
-def inextendible(n):
-    return tuple(enumerate_inextendible(HistorySpace(n)))
+from qcover.ratspan import full_rank_mod_p, span_solve
 
 
 def reference_levels(ac):
@@ -61,12 +55,13 @@ def reference_certificate_kind(ac, levels):
     return None
 
 
-def reference_scan(space):
-    """The scan as the object path computes it: every antichain through
-    decide and certificate_class_C, JSON through Antichain.to_json."""
+def reference_scan(space, acs):
+    """The scan as the object path computes it: every antichain of ``acs``
+    (all of the space's inextendible ones) through decide and
+    certificate_class_C, JSON through Antichain.to_json."""
     covers = 0
     counterexamples, uncertified, tallies = [], [], {}
-    for ac in inextendible(space.n):
+    for ac in acs:
         verdict = decide(space, ac.elements)
         cert = certificate_class_C(ac)
         if verdict.is_cover:
@@ -80,7 +75,7 @@ def reference_scan(space):
             tallies[cert.kind] = tallies.get(cert.kind, 0) + 1
     return {
         "n": space.n,
-        "total": len(inextendible(space.n)),
+        "total": len(acs),
         "covers": covers,
         "counterexamples": counterexamples,
         "uncertified": uncertified,
@@ -297,25 +292,28 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(HistorySpace(3), workers=0)
 
-    def test_rank_first_verdicts_are_exact(self):
-        # GF(2) rank n means an odd n x n minor, so Q^n is spanned; every
-        # verdict must match the Bareiss decision on the same masks
+    def test_rank_first_verdicts_are_exact(self, inextendible):
+        # a Gram determinant nonzero mod p is nonzero, so Q^n is spanned;
+        # every verdict must match the Bareiss decision on the same masks
         deficient = {}
         for n in range(1, 7):
             full = (1 << n) - 1
-            deficient[n] = 0
-            for ac in inextendible(n):
+            acs = inextendible(n)
+            passed = full_rank_mod_p(n, [ac.masks for ac in acs]).tolist()
+            deficient[n] = passed.count(False)
+            for ac, full_rank in zip(acs, passed):
                 in_span = span_solve(n, ac.masks, full) is not None
-                if gf2_rank(ac.masks) == n:
+                if full_rank:
                     assert in_span, ac.masks
-                else:
-                    deficient[n] += 1
-                is_cover, _ = cover_module._scan_one((n, ac.masks))
+                is_cover, _ = cover_module._scan_one((n, ac.masks, full_rank))
                 assert is_cover == in_span, ac.masks
         assert len(inextendible(6)) == 31_745
-        assert deficient[6] == 6_350
+        assert deficient[6] == 1_927
 
-    def test_bareiss_runs_only_on_gf2_deficient(self, monkeypatch):
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_bareiss_runs_only_on_filter_deficient(
+        self, monkeypatch, inextendible, n
+    ):
         calls = []
 
         def counting(n, masks, target):
@@ -323,20 +321,22 @@ class TestScan:
             return span_solve(n, masks, target)
 
         monkeypatch.setattr(cover_module, "span_solve", counting)
-        scan(HistorySpace(5))
-        assert len(calls) == sum(
-            gf2_rank(ac.masks) < 5 for ac in inextendible(5)
-        )
+        scan(HistorySpace(n))
+        passed = full_rank_mod_p(n, [ac.masks for ac in inextendible(n)])
+        assert len(calls) == int((~passed).sum())
+        assert len(calls) == {5: 116, 6: 1_927}[n]
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_matches_object_path(self, n):
+    def test_matches_object_path(self, inextendible, n):
         got = scan(HistorySpace(n)).to_json()
         got.pop("elapsed_ms")
-        assert got == reference_scan(HistorySpace(n))
+        assert got == reference_scan(HistorySpace(n), inextendible(n))
 
-    def test_certificate_kind_from_masks(self):
+    def test_certificate_kind_from_masks(self, inextendible):
         for n in range(1, 7):
-            for ac in inextendible(n):
+            acs = inextendible(n)
+            passed = full_rank_mod_p(n, [ac.masks for ac in acs]).tolist()
+            for ac, full_rank in zip(acs, passed):
                 levels = reference_levels(ac)
                 assert [
                     (d.pivot, d.base_level, d.free_labels, d.bound_met)
@@ -345,7 +345,8 @@ class TestScan:
                 want = reference_certificate_kind(ac, levels)
                 cert = certificate_class_C(ac)
                 assert (None if cert is None else cert.kind) == want, ac.masks
-                assert cover_module._scan_one((n, ac.masks))[1] == want
+                got = cover_module._scan_one((n, ac.masks, full_rank))[1]
+                assert got == want
 
     def test_non_cover_takes_the_witness_path(self, monkeypatch):
         verdicts = []
@@ -356,7 +357,9 @@ class TestScan:
 
         monkeypatch.setattr(cover_module, "decide", recording)
         # the three-slit family {1,2}, {2,3}
-        assert cover_module._scan_one((3, (0b011, 0b110))) == (False, None)
+        masks = (0b011, 0b110)
+        assert not full_rank_mod_p(3, [masks])[0]
+        assert cover_module._scan_one((3, masks, False)) == (False, None)
         (verdict,) = verdicts
         assert not verdict.is_cover and verdict.union_is_omega
         assert verdict.witness is not None

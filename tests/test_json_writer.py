@@ -38,12 +38,37 @@ class TestFixedValues:
         np.float64(1.5), np.float64(math.nan),
         [], (), {}, [[]], {"": {}}, [1, 2, 3], (1, 2), [True, 1, False],
         [1, 2.0], [1, None], {"b": [1, [2, [3]]], "a": {"z": (), "y": []}},
+        [[0.0, -0.0], [math.nan, math.inf, -math.inf], [1e16, 5e-324]],
+        [[1.5, np.float64(2.5)], [1.0, 1], [True, 0.5]], [[[0.25, -0.5]]],
     ])
     def test_equals_json(self, obj):
         assert _text(obj) == _reference(obj)
 
     def test_bool_in_int_list_prints_true(self):
         assert _text([1, True]) == "[\n  1,\n  true\n]"
+
+    def test_same_int_list_at_two_depths(self):
+        # the memo keys each list's text by its indentation too
+        labels = [1, 3, 4]
+        obj = {"a": [labels, labels], "b": {"c": [[labels], labels]}}
+        assert _text(obj) == _reference(obj)
+        assert _text([[labels], [[labels]], labels]) == _reference(
+            [[labels], [[labels]], labels]
+        )
+
+    @pytest.mark.parametrize("obj", [
+        [[1, 2], [True, 2], [1, 2]],
+        [[True, 2], [1, 2]],
+        [[1, 0], [True, False], [1, False]],
+    ])
+    def test_bool_lists_skip_the_memo(self, obj):
+        memo = {}
+        parts = []
+        _write_json(obj, parts.append, memo=memo)
+        assert "".join(parts) == _reference(obj)
+        memoed = [key for texts in memo.values() for key in texts]
+        assert memoed
+        assert all(type(v) is int for key in memoed for v in key)
 
     @pytest.mark.parametrize("obj", [
         {1: "x"}, {None: 1}, {(1, 2): 3}, {"a": {2.5: 0}},

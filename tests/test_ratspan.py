@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qcover import HistorySpace, enumerate_inextendible
-from qcover.ratspan import gf2_rank, span_solve
+from qcover import ratspan
+from qcover.ratspan import full_rank_mod_p, span_solve
 
 
 def test_three_slit_family_misses_omega():
@@ -149,28 +150,73 @@ def test_agrees_with_sympy_rank_oracle():
                 assert a * sympy.Matrix(got) == aug[:, -1]
 
 
-def gf2_reference(n, member_masks):
-    """Row reduction of the 0/1 indicator matrix mod 2."""
-    rows = [[(mask >> bit) & 1 for mask in member_masks] for bit in range(n)]
+def has_full_rank(n, member_masks):
+    """Whether the member indicators have rank n over Q.  Rank n over GF(2)
+    (an XOR basis) settles it, since an n x n minor odd mod 2 is nonzero;
+    otherwise the members are reduced as integer rows of n entries."""
+    basis = {}  # leading bit -> basis vector
+    for m in member_masks:
+        while m.bit_length() in basis:
+            m ^= basis[m.bit_length()]
+        if m:
+            basis[m.bit_length()] = m
+    if len(basis) == n:
+        return True
+    rows = [[(mask >> bit) & 1 for bit in range(n)] for mask in member_masks]
     rank = 0
-    for c in range(len(member_masks)):
-        pivot_row = next((i for i in range(rank, n) if rows[i][c]), None)
+    for c in range(n):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        for i in range(n):
-            if i != rank and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        pv = rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [pv * a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rank == n
 
 
-def test_gf2_rank_matches_elimination_mod_2():
-    rng = random.Random("ratspan:gf2")
+def test_filter_is_exact_on_every_inextendible_antichain(inextendible):
+    # no false "deficient" happens for n <= 6, so the filter passes
+    # exactly the full-rank antichains
+    passed = {}
+    for n in range(1, 7):
+        families = [ac.masks for ac in inextendible(n)]
+        got = full_rank_mod_p(n, families).tolist()
+        assert got == [has_full_rank(n, masks) for masks in families]
+        passed[n] = got.count(True)
+    assert passed == {1: 1, 2: 1, 3: 2, 4: 11, 5: 259, 6: 29_818}
+
+
+@pytest.mark.parametrize("chunk", [3, ratspan._CHUNK])
+def test_filter_true_means_full_rank_on_random_families(monkeypatch, chunk):
+    # ragged widths and repeated members, with chunk boundaries inside
+    # the batch; a repeated member only adds to the Gram counts
+    monkeypatch.setattr(ratspan, "_CHUNK", chunk)
+    rng = random.Random("ratspan:filter")
     for n in range(1, 13):
-        for _ in range(60):
-            members, _ = random_family(rng, n)
-            assert gf2_rank(members) == gf2_reference(n, members), members
-    # {1,2}, {1,3}, {2,3} have rank 3 over Q but 2 over GF(2)
-    assert gf2_rank([0b011, 0b101, 0b110]) == 2
-    assert gf2_rank([]) == 0
+        families = [random_family(rng, n)[0] for _ in range(120)]
+        families += [[1 << i for i in range(n)] * 2, [(1 << n) - 1]]
+        got = full_rank_mod_p(n, families).tolist()
+        for members, passed in zip(families, got):
+            if passed:
+                assert has_full_rank(n, members), members
+        assert got[-2] and got[-1] == (n == 1)
+        assert True in got and (n == 1 or False in got)
+
+
+def test_filter_across_the_default_chunk_boundary():
+    # more families than one chunk holds, the widest in the second chunk
+    rng = random.Random("ratspan:chunks")
+    n = 7
+    families = [random_family(rng, n)[0] for _ in range(ratspan._CHUNK + 50)]
+    families[-1] = [1 << i for i in range(n)] * 4
+    got = full_rank_mod_p(n, families).tolist()
+    assert got == [has_full_rank(n, members) for members in families]
+    assert got[-1]
+
+
+def test_filter_on_an_empty_batch():
+    assert full_rank_mod_p(4, []).tolist() == []
