@@ -5,9 +5,9 @@ An inextendible antichain is one to which no further event can be added,
 i.e. a maximal independent set of the comparability graph over the
 2^n - 1 nonempty events.  This module recognises antichains, decides and
 witnesses inextendibility, enumerates all inextendible antichains of small
-spaces in a canonical order, splits an antichain around a pivot level, and
-generates several structured families that are inextendible by
-construction.
+spaces in a canonical order, one uint64 member bitset each, splits them
+around their pivot levels in one batched pass, and generates several
+structured families that are inextendible by construction.
 """
 
 from __future__ import annotations
@@ -18,11 +18,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import ConsistencyError, ResourceLimitError, SpaceMismatchError
 from .histories import (
     Event,
     HistorySpace,
     JsonRecord,
+    _bit_rows,
     _gosper_masks,
     pack_flags,
     subset_closure,
@@ -191,44 +194,31 @@ def _missing_event(flags: int, n: int) -> Optional[int]:
 
 def _incomparability_adjacency(n: int) -> list[int]:
     # vertex i stands for mask i+1; adj bitsets over vertex indices
-    count = (1 << n) - 1
-    adj = [0] * count
-    for i in range(count):
-        mi = i + 1
-        for j in range(i + 1, count):
-            mj = j + 1
-            inter = mi & mj
-            if inter != mi and inter != mj:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    masks = np.arange(1, 1 << n)
+    inter = masks[:, None] & masks
+    rows = np.packbits((inter != masks) & (inter != masks[:, None]), axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _inextendible_masks(n: int) -> Iterator[tuple[int, ...]]:
-    # the sorted member masks behind enumerate_inextendible, in its order
+def _inextendible_bitsets(n: int) -> np.ndarray:
+    """``enumerate_inextendible``, each antichain one uint64 with bit v for
+    mask v + 1: the maximal cliques of the incomparability graph, by
+    Bron-Kerbosch with Tomita's pivot (TCS 363 (2006) 28-42)."""
     if n > HARD_ENUM_MAX_N:
         raise ResourceLimitError(
             f"enumeration over n={n} exceeds the cap n <= {HARD_ENUM_MAX_N}"
         )
     adj = _incomparability_adjacency(n)
-    count = len(adj)
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
 
-    # maximal cliques of the incomparability graph, with pivoting
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            members = []
-            rr = r
-            while rr:
-                lo = rr & -rr
-                members.append(lo.bit_length())  # vertex index + 1 == mask
-                rr ^= lo
-            found.append(tuple(members))
+            found.append(r)
             return
-        px = p | x
         best = -1
         pivot_adj = 0
-        u = px
+        u = p | x
         while u:
             lo = u & -u
             i = lo.bit_length() - 1
@@ -246,9 +236,19 @@ def _inextendible_masks(n: int) -> Iterator[tuple[int, ...]]:
             x |= lo
             cand ^= lo
 
-    expand(0, (1 << count) - 1, 0)
-    found.sort()
-    yield from found
+    expand(0, (1 << len(adj)) - 1, 0)
+    bitsets = np.array(found, dtype=np.uint64)
+    # sorted member tuples first differ at the lowest vertex in just one
+    # of them, which comes first; packed big-endian, it is the top bit
+    key = np.packbits(_bit_rows(bitsets), axis=1).view(">u8").ravel()
+    return bitsets[np.argsort(key)[::-1]]
+
+
+def _members(bitsets: np.ndarray, table: Sequence) -> list[list]:
+    # per bitset, table[m] for each member mask m, ascending
+    flat = [table[m] for m in (np.nonzero(_bit_rows(bitsets))[1] + 1).tolist()]
+    ends = np.cumsum(np.bitwise_count(bitsets)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def enumerate_inextendible(space: HistorySpace) -> Iterator[Antichain]:
@@ -260,24 +260,17 @@ def enumerate_inextendible(space: HistorySpace) -> Iterator[Antichain]:
     """
     # one Event per mask, shared by the 255,475 members at n = 6
     events = [Event(m, space) for m in range(1 << space.n)]
-    for masks in _inextendible_masks(space.n):
+    for masks in _members(_inextendible_bitsets(space.n), range(64)):
         yield _antichain_unchecked(space, masks, events)
 
 
 @lru_cache(maxsize=HARD_ENUM_MAX_N)
 def _label_table(n: int) -> tuple[list[int], ...]:
-    # one label list per mask, shared by every report that lists the mask:
-    # an n = 6 scan lists 255,475 members, and as many fresh lists would
-    # be that many more objects for the cyclic collector to walk
+    # one label list per mask, shared (to serialize, not to edit) by every
+    # report that lists the mask: an n = 6 scan lists 255,475 members, and
+    # as many fresh lists would be more objects for the collector to walk
     space = HistorySpace(n)
     return tuple(list(Event(m, space).labels) for m in range(1 << n))
-
-
-def _masks_json(n: int, masks: Iterable[int]) -> dict:
-    """``Antichain.to_json`` from bare masks, for n <= HARD_ENUM_MAX_N; the
-    label lists are ``_label_table``'s own, to serialize, not to edit."""
-    table = _label_table(n)
-    return {"n": n, "elements": [table[m] for m in masks]}
 
 
 @dataclass(frozen=True)
@@ -301,27 +294,27 @@ class PivotDecomposition(JsonRecord):
     bound_met: bool
 
 
-def _level_split(
-    n: int, masks: Iterable[int]
-) -> tuple[tuple[int, int, int, bool], ...]:
-    # (pivot, base_level, free_mask, bound_met) of classify, per level
-    unions: dict[int, int] = {}
-    for m in masks:
-        k = m.bit_count()
-        unions[k] = unions.get(k, 0) | m
-    levels = sorted(unions)
-    # the lowest level lies below every higher pivot, and is its own base
-    base = levels[0]
-    full = (1 << n) - 1
-    out = []
-    for k in levels:
-        off_union = 0
-        for level, union in unions.items():
-            if level != k:
-                off_union |= union
-        free = full & ~off_union
-        out.append((k, base, free, free.bit_count() >= k - base + 1))
-    return tuple(out)
+def _level_split(n: int, unions: np.ndarray) -> tuple[np.ndarray, ...]:
+    # classify on rows of level unions (column k: the members on level k)
+    # -> base level (the lowest occupied), per level free mask, bound_met
+    before = np.bitwise_or.accumulate(unions, axis=1)
+    after = np.bitwise_or.accumulate(unions[:, ::-1], axis=1)[:, ::-1]
+    off = np.zeros_like(unions)
+    off[:, 1:] |= before[:, :-1]
+    off[:, :-1] |= after[:, 1:]
+    free = ((1 << n) - 1) & ~off
+    base = (unions != 0).argmax(axis=1)
+    need = np.arange(n + 1) - base[:, None] + 1
+    return base, free, (unions != 0) & (np.bitwise_count(free) >= need)
+
+
+def _level_unions(n: int, masks: Sequence, held: Sequence) -> np.ndarray:
+    # _level_split's rows: held[j] flags the rows holding masks[j] (a 0/1
+    # vector, or 1 for a single row), each mask ORed into its level's column
+    unions = [held[0] * 0] * (n + 1)
+    for m, rows in zip(masks, held):
+        unions[m.bit_count()] = unions[m.bit_count()] | rows * m
+    return np.array(unions, dtype=np.int64).reshape(n + 1, -1).T
 
 
 def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
@@ -331,9 +324,11 @@ def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
     itself is well defined for any antichain and is not re-verified here.
     """
     space = ac.space
+    unions = _level_unions(space.n, ac.masks, [1] * len(ac))
+    base, free, bound_met = _level_split(space.n, unions)
     out = []
-    for k, base_level, free_mask, bound_met in _level_split(space.n, ac.masks):
-        free_labels = Event(free_mask, space).labels
+    for k in ac.levels():
+        free_labels = Event(int(free[0, k]), space).labels
         out.append(
             PivotDecomposition(
                 pivot=k,
@@ -342,8 +337,8 @@ def classify(ac: Antichain) -> tuple[PivotDecomposition, ...]:
                 above=tuple(e for e in ac.elements if e.cardinality > k),
                 free_labels=free_labels,
                 free_count=len(free_labels),
-                base_level=base_level,
-                bound_met=bound_met,
+                base_level=int(base[0]),
+                bound_met=bool(bound_met[0, k]),
             )
         )
     return tuple(out)

@@ -7,13 +7,15 @@ timestamp and elapsed-time fields.
 
 Exit codes: 0 success, 2 invalid input or resource limit, 3 the report
 lists a mathematical counterexample (only a scan's can), 4 an internal
-invariant failed.
+invariant failed, 141 (a shell's status for SIGPIPE) the reader of
+stdout closed it early, as ``head`` does: the rest goes unwritten, silently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -23,8 +25,9 @@ from .antichain import (
     Antichain,
     GENERATOR_KINDS,
     GENERATOR_PARAMS,
-    _inextendible_masks,
-    _masks_json,
+    _inextendible_bitsets,
+    _label_table,
+    _members,
     classify,
     generate,
 )
@@ -206,12 +209,8 @@ def _run_coevents(args) -> dict:
 
 def _run_enumerate(args) -> dict:
     n = HistorySpace(args.n).n
-    found = list(_inextendible_masks(n))
-    return {
-        "n": n,
-        "count": len(found),
-        "antichains": [_masks_json(n, masks)["elements"] for masks in found],
-    }
+    found = _members(_inextendible_bitsets(n), _label_table(n))
+    return {"n": n, "count": len(found), "antichains": found}
 
 
 def _run_classify(args) -> dict:
@@ -292,11 +291,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "report": report,
     }
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_envelope(envelope, fh)
-    else:
-        _write_envelope(envelope, sys.stdout)
+    try:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_envelope(envelope, fh)
+        else:
+            _write_envelope(envelope, sys.stdout)
+            sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to devnull, not to an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 3 if report.get("counterexamples") else 0
 
 

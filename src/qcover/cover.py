@@ -33,13 +33,15 @@ import numpy as np
 from .antichain import (
     GENERATOR_MAX_N,
     Antichain,
-    _inextendible_masks,
+    _inextendible_bitsets,
     _level_split,
-    _masks_json,
+    _level_unions,
+    _label_table,
+    _members,
     generate,
 )
 from .errors import ConsistencyError, SpaceMismatchError
-from .histories import Event, HistorySpace, JsonRecord
+from .histories import Event, HistorySpace, JsonRecord, _bit_rows
 from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
 from .ratspan import complement_projector, full_rank_mod_p, span_solve
 
@@ -138,56 +140,83 @@ def _family_instances(
     return tuple(out)
 
 
+# certificate codes: 0 none, 1 full_level, 2 pivot_bound, then family i
+# of _family_instances as _FAMILY + i
+_FAMILY = 3
+_NARRATIVES = (
+    "all {size} elements form the complete level {pivot}; the level sum"
+    " identity pins the total measure to a nonnegative multiple of the"
+    " element measures",
+    "{free} histories avoid every off-pivot element, reaching the threshold"
+    " {need} for pivot {pivot} over base level {base}; coarse-graining the"
+    " free histories reduces the family to a complete level",
+    "exact match with the {family} family{params}; its dedicated"
+    " annihilation argument forces total measure zero",
+)
+
+
+def _kind_names(n: int) -> list[Optional[str]]:
+    families = [f"family_{inst[0]}" for inst in _family_instances(n)]
+    return [None, "full_level", "pivot_bound", *families]
+
+
+def _certificates(
+    n: int, unions: np.ndarray, sizes: np.ndarray, family: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    # certificate_class_C on rows of level unions, member counts and
+    # _family_instances indices (-1: none) -> codes and the _level_split
+    base, free, bound_met = _level_split(n, unions)
+    single = np.count_nonzero(unions, axis=1) == 1
+    complete = np.array([math.comb(n, k) for k in range(n + 1)])[base]
+    if (single & (sizes != complete)).any():
+        raise ValueError(
+            "pure-level antichain is not the complete level, so it is"
+            " not inextendible"
+        )
+    code = np.where(family < 0, 0, _FAMILY + family)
+    code = np.where(single, 1, np.where(bound_met.any(axis=1), 2, code))
+    return code, base, free, bound_met
+
+
+def _bitset_certificates(n: int, bitsets: np.ndarray) -> np.ndarray:
+    # every bitset's certificate code; the first family matched wins
+    family = np.full(len(bitsets), -1)
+    for i, inst in reversed(list(enumerate(_family_instances(n)))):
+        family[bitsets == sum(1 << (m - 1) for m in inst[2])] = i
+    unions = _level_unions(n, range(1, 1 << n), _bit_rows(bitsets).T)
+    return _certificates(n, unions, np.bitwise_count(bitsets), family)[0]
+
+
 def certificate_class_C(ac: Antichain) -> Optional[Certificate]:
     """Analytic cover certificate for an inextendible antichain, if known.
 
     Tried in order: a complete level; a pivot meeting the free-history
     bound; exact structural match with one of the generated families.
     Returns None when no argument applies (which says nothing about the
-    verdict itself).
+    verdict itself).  ``scan`` batches the same rule.
     """
-    return _certificate(ac.space.n, ac.masks)
-
-
-def _certificate(n: int, masks: tuple[int, ...]) -> Optional[Certificate]:
-    # certificate_class_C on the sorted member masks, as the scan calls it
-    split = _level_split(n, masks)
-    if len(split) == 1:
-        k = split[0][0]
-        if len(masks) != math.comb(n, k):
-            raise ValueError(
-                "pure-level antichain is not the complete level, so it is"
-                " not inextendible"
-            )
-        narrative = (
-            f"all {len(masks)} elements form the complete level {k}; the"
-            f" level sum identity pins the total measure to a"
-            f" nonnegative multiple of the element measures"
-        )
-        return Certificate("full_level", k, k, n, {"k": k}, narrative)
-    for pivot, base, free_mask, bound_met in split:
-        if bound_met:
-            free = free_mask.bit_count()
-            narrative = (
-                f"{free} histories avoid every off-pivot element, reaching"
-                f" the threshold {pivot - base + 1} for pivot {pivot} over"
-                f" base level {base}; coarse-graining the free histories"
-                f" reduces the family to a complete level"
-            )
-            return Certificate("pivot_bound", pivot, base, free, {}, narrative)
-    for kind, params, fam_masks, pivot in _family_instances(n):
-        if fam_masks == masks:
-            _, base, free_mask, _ = next(s for s in split if s[0] == pivot)
-            narrative = (
-                f"exact match with the {kind} family"
-                f"{dict(params) if params else ''}; its dedicated"
-                f" annihilation argument forces total measure zero"
-            )
-            free = free_mask.bit_count()
-            return Certificate(
-                f"family_{kind}", pivot, base, free, dict(params), narrative
-            )
-    return None
+    n = ac.space.n
+    instances = _family_instances(n)
+    index = next((i for i, f in enumerate(instances) if f[2] == ac.masks), -1)
+    unions = _level_unions(n, ac.masks, [1] * len(ac))
+    code, base, free, bound = _certificates(
+        n, unions, np.array([len(ac)]), np.array([index])
+    )
+    code, base, kind = int(code[0]), int(base[0]), _kind_names(n)[code[0]]
+    if kind is None:
+        return None
+    pivot = (
+        base if code == 1 else int(bound[0].argmax()) if code == 2
+        else instances[index][3]
+    )
+    free = int(free[0, pivot]).bit_count()
+    family, params = instances[index][:2] if code >= _FAMILY else (kind, ())
+    params = {"k": pivot} if code == 1 else dict(params)
+    narrative = _NARRATIVES[min(code, _FAMILY) - 1].format(
+        size=len(ac), pivot=pivot, base=base, free=free,
+        need=pivot - base + 1, family=family, params=params or "",
+    )
+    return Certificate(kind, pivot, base, free, params, narrative)
 
 
 @dataclass(frozen=True)
@@ -203,69 +232,64 @@ class ScanReport(JsonRecord):
     elapsed_ms: float
 
 
-def _scan_one(
-    args: tuple[int, tuple[int, ...], bool]
-) -> tuple[bool, Optional[str]]:
-    n, masks, full_rank = args
-    if full_rank or span_solve(n, masks, (1 << n) - 1) is not None:
-        cert = _certificate(n, masks)
-        return True, None if cert is None else cert.kind
-    # a certificate claims a cover, so a non-cover gets none
+def _is_cover(args: tuple[int, list[int]]) -> bool:
+    # the exact verdict on an antichain the mod-p filter left undecided
+    n, masks = args
     space = HistorySpace(n)
-    return decide(space, [Event(m, space) for m in masks]).is_cover, None
+    return span_solve(n, masks, space.full_mask) is not None or decide(
+        space, [Event(m, space) for m in masks]
+    ).is_cover
 
 
 def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
     """Decide every inextendible antichain of the space.
 
-    Each antichain is decided on its sorted member masks, rank first.  One
-    batched pass (``ratspan.full_rank_mod_p``) eliminates every
-    antichain's n x n Gram matrix mod a 31-bit prime.  A determinant
-    nonzero mod p is nonzero, so the members span Q^n and chi_Omega is in
-    their span: a cover, with no float or probabilistic guess.  Only the
-    rest go to ``span_solve`` (Bareiss), and a non-cover then takes the
-    full ``decide``, which builds and checks its witness.  At n = 6,
-    29,818 of the 31,745 antichains pass the filter, which is every one
-    of full rank, and Bareiss decides the other 1,927, all covers.
-    Certificate kinds come from the same masks, and each antichain's
-    filter bit travels with its masks to the worker.
-
-    The enumeration order is canonical and the merge is order-preserving,
-    so the report is identical for any worker count.
+    Each antichain stays one int, the bitset of its members
+    (``antichain._inextendible_bitsets``), and each stage is one batched
+    pass over all of them.  ``ratspan.full_rank_mod_p`` eliminates every
+    n x n Gram matrix mod a 31-bit prime: a determinant nonzero mod p is
+    nonzero, so the members span Q^n and chi_Omega is in their span, a
+    cover.  Only the rest are unpacked to masks for ``span_solve``
+    (Bareiss), and a non-cover takes ``decide``, which builds and checks
+    its witness: at n = 6, 1,927 of 31,745, all covers, shared by
+    ``workers`` processes.  Certificate kinds come from level unions, and
+    the antichains listed are unpacked last, in the walk's canonical
+    order, so the report is the same for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     t0 = time.perf_counter()
     n = space.n
-    families = list(_inextendible_masks(n))
-    full_rank = full_rank_mod_p(n, families).tolist()
-    payload = [(n, masks, full) for masks, full in zip(families, full_rank)]
+    bitsets = _inextendible_bitsets(n)
+    is_cover = full_rank_mod_p(n, bitsets)
+    deficient = np.flatnonzero(~is_cover)
+    payload = [(n, m) for m in _members(bitsets[deficient], range(64))]
     if workers == 1 or len(payload) < 4:
-        results = [_scan_one(item) for item in payload]
+        verdicts = list(map(_is_cover, payload))
     else:
         # the pool forks every worker up front, so never ask for more
         # processes than there are CPUs or items
         procs = min(workers, os.cpu_count() or 1, len(payload))
         chunk = max(1, len(payload) // (4 * procs))
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(_scan_one, payload, chunksize=chunk))
-    counterexamples = []
-    uncertified = []
-    tallies: dict[str, int] = {}
-    for masks, (is_cover, kind) in zip(families, results):
-        if not is_cover:
-            counterexamples.append(_masks_json(n, masks))
-        elif kind is None:
-            uncertified.append(_masks_json(n, masks))
-        else:
-            tallies[kind] = tallies.get(kind, 0) + 1
+            verdicts = list(pool.map(_is_cover, payload, chunksize=chunk))
+    is_cover[deficient] = verdicts
+    code = _bitset_certificates(n, bitsets)
+    # a certificate claims a cover, so a non-cover gets none
+    code[~is_cover] = -1
+    counts = np.bincount(code[is_cover]).tolist()
+    tallies = {_kind_names(n)[c]: k for c, k in enumerate(counts) if c and k}
+    counterexamples, uncertified = (
+        tuple({"n": n, "elements": e} for e in _members(rows, _label_table(n)))
+        for rows in (bitsets[~is_cover], bitsets[code == 0])
+    )
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return ScanReport(
         n=n,
-        total=len(payload),
-        covers=len(payload) - len(counterexamples),
-        counterexamples=tuple(counterexamples),
-        uncertified=tuple(uncertified),
+        total=len(bitsets),
+        covers=len(bitsets) - len(counterexamples),
+        counterexamples=counterexamples,
+        uncertified=uncertified,
         certificate_counts=dict(sorted(tallies.items())),
         elapsed_ms=elapsed_ms,
     )

@@ -73,9 +73,8 @@ def _write_json(obj, write: Callable[[str], object], ind: str = "",
     tested as ``json`` tests them, so ``True`` prints ``true`` and a float
     subclass prints as a float.  Unsupported values and non-``str`` keys
     raise TypeError.  ``memo`` holds, for one top-level call, the text of
-    each int list met inside a list, keyed by its indentation and then by
-    its values; a list holding a bool never reaches it, since ``True ==
-    1`` would find the text of ``1``.
+    each int list (no bools: ``True == 1``) met inside a list, by indentation,
+    then by values and by ``id``, which no other object reuses in the call.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -88,23 +87,27 @@ def _write_json(obj, write: Callable[[str], object], ind: str = "",
             return
         if memo is None:
             memo = {}
+        texts = memo.setdefault(inner, {})
+        # int lists all met before, such as a scan entry's labels: one write
+        if id(obj[0]) in texts:
+            known = list(map(texts.get, map(id, obj)))
+            if None not in known:
+                write(f"{lead}[\n{inner}{sep.join(known)}\n{ind}]")
+                return
         deeper = inner + "  "
         deeper_sep = ",\n" + deeper
         head = f"{lead}[\n{inner}"
-        texts = None  # this depth's memo, looked up at its first int list
         for value in obj:
             # the int-list case above, without a call and at most once per
             # distinct list: an n = 6 scan report has 255,475 label lists
             # inside lists, drawn from 63
             if (type(value) is list and value
                     and _INT_ONLY.issuperset(map(type, value))):
-                if texts is None:
-                    texts = memo.setdefault(inner, {})
-                key = tuple(value)
-                text = texts.get(key)
+                text = texts.get(id(value)) or texts.get(key := tuple(value))
                 if text is None:
                     body = deeper_sep.join(map(int.__repr__, value))
                     text = texts[key] = f"[\n{deeper}{body}\n{inner}]"
+                texts[id(value)] = text
                 write(head + text)
             elif (type(value) is list and value
                     and _FLOAT_ONLY.issuperset(map(type, value))):
@@ -417,6 +420,12 @@ def _set_bits(flags: int) -> list[int]:
         flags.to_bytes((flags.bit_length() + 7) // 8, "little"), dtype=np.uint8
     )
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def _bit_rows(words: np.ndarray) -> np.ndarray:
+    # one 0/1 row of 64 per uint64 word, bit v in column v
+    raw = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1, bitorder="little")
 
 
 def closure(

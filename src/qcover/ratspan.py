@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError
+from .histories import _bit_rows
 
 
 def _eliminate(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
@@ -134,7 +135,7 @@ _PRIME = 2**31 - 1
 _CHUNK = 4096
 
 
-def full_rank_mod_p(n: int, families: Sequence[Sequence[int]]) -> np.ndarray:
+def full_rank_mod_p(n: int, families) -> np.ndarray:
     """One bool per family: True proves its members' indicators span Q^n.
 
     For the m x n indicator matrix M, G = M^T M is n x n: G_ij counts the
@@ -145,24 +146,31 @@ def full_rank_mod_p(n: int, families: Sequence[Sequence[int]]) -> np.ndarray:
     pivots mean det G is nonzero mod p, hence nonzero: rank n over Q.
     False is no verdict: for a family of rank n, G is positive definite,
     so a False means p divides one of its leading principal minors.
-    Members may repeat (fewer than p of them); families go through numpy
-    ``_CHUNK`` at a time.
+
+    A family is a sequence of member masks, which may repeat (fewer than
+    p of them), or ``families`` is a uint64 array of antichain bitsets,
+    bit v for mask v + 1 (n <= 6).  G sums the members' pair rows (bit i
+    times bit j at column n i + j), for bitsets by one float32 matmul,
+    exact below 2^24; ``_CHUNK`` families go through numpy at a time.
     """
+
+    def pairs(masks: np.ndarray) -> np.ndarray:
+        bits = (masks[:, None] >> np.arange(n) & 1).astype(np.int8)
+        return (bits[:, :, None] * bits[:, None, :]).reshape(len(masks), -1)
+
     out = np.empty(len(families), dtype=bool)
-    shifts = np.arange(n, dtype=np.int64)
     for start in range(0, len(families), _CHUNK):
         part = families[start : start + _CHUNK]
-        sizes = np.fromiter(map(len, part), dtype=np.int64, count=len(part))
-        flat = np.fromiter(
-            chain.from_iterable(part), dtype=np.int64, count=int(sizes.sum())
-        )
-        # one row per family, padded with the empty mask, which adds nothing
-        padded = np.zeros((len(part), int(sizes.max(initial=0))), dtype=np.int64)
-        rows = np.repeat(np.arange(len(part)), sizes)
-        cols = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        padded[rows, cols] = flat
-        bits = (padded[:, :, None] >> shifts) & 1
-        gram = bits.transpose(0, 2, 1) @ bits
+        if isinstance(part, np.ndarray):
+            member = _bit_rows(part)[:, : (1 << n) - 1].astype(np.float32)
+            gram = member @ pairs(np.arange(1, 1 << n)).astype(np.float32)
+        else:
+            sizes = list(map(len, part))
+            flat = np.fromiter(chain.from_iterable(part), np.int64, sum(sizes))
+            cells = np.repeat(np.arange(len(part)) * n * n, sizes)[:, None]
+            cells = (cells + np.arange(n * n)).ravel()
+            gram = np.bincount(cells, pairs(flat).ravel(), len(part) * n * n)
+        gram = gram.astype(np.int64).reshape(-1, n, n)
         ok = np.ones(len(part), dtype=bool)
         for _ in range(n):
             piv = gram[:, :1, :1]

@@ -1,4 +1,7 @@
+from contextlib import redirect_stdout
 from functools import lru_cache
+from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,3 +66,31 @@ def _strip_volatile(obj):
 def strip_volatile():
     """Drop the fields that legitimately differ between identical runs."""
     return _strip_volatile
+
+
+@pytest.fixture(scope="session")
+def scan_n6_cli():
+    """One CLI run of ``scan --n 6``, shared by the tests that read it.
+
+    Holds the exit ``code``, the objects handed to the writer (``seen``),
+    the stdout text (``out``), and the n = 6 label table with a copy of
+    its lists (``table``, ``before``) taken before the run.
+    """
+    import qcover.cli
+    from qcover.antichain import _label_table
+    from qcover.histories import _write_json
+
+    table = _label_table(6)
+    before = [list(labels) for labels in table]
+    seen = []
+
+    def spy(obj, write):
+        seen.append(obj)
+        _write_json(obj, write)
+
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(StringIO()) as buf:
+        mp.setattr(qcover.cli, "_write_json", spy)
+        code = qcover.cli.main(["scan", "--n", "6"])
+    return SimpleNamespace(
+        code=code, seen=seen, out=buf.getvalue(), table=table, before=before
+    )

@@ -14,7 +14,12 @@ from qcover import (
     is_antichain,
     is_inextendible,
 )
-from qcover.antichain import _antichain_unchecked, _label_table
+from qcover.antichain import (
+    _antichain_unchecked,
+    _inextendible_bitsets,
+    _label_table,
+    _members,
+)
 from qcover.cli import main
 
 
@@ -132,6 +137,22 @@ class TestEnumeration:
             ok, _ = is_inextendible(ac)
             assert ok
 
+    def test_bitset_walk(self):
+        # one uint64 per antichain, bit v for the event with mask v + 1
+        counts = []
+        for n in range(1, 7):
+            bitsets = _inextendible_bitsets(n)
+            counts.append(len(bitsets))
+            assert len(set(bitsets.tolist())) == len(bitsets)
+            members = _members(bitsets, range(64))
+            assert members == sorted(members)
+            if n <= 4:
+                space = HistorySpace(n)
+                for masks in members:
+                    ac = Antichain(space.event_from_mask(m) for m in masks)
+                    assert is_inextendible(ac) == (True, None)
+        assert counts == [1, 2, 6, 28, 375, 31_745]
+
     def test_canonical_order(self, space4):
         acs = list(enumerate_inextendible(space4))
         keys = [ac.masks for ac in acs]
@@ -141,11 +162,11 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             list(enumerate_inextendible(HistorySpace(7)))
 
-    def test_shared_label_table_survives_the_cli(self, capsys):
-        # scan and enumerate reports hold the table's own label lists
-        table = _label_table(6)
-        before = [list(labels) for labels in table]
-        assert main(["scan", "--n", "6"]) == 0
+    def test_shared_label_table_survives_the_cli(self, capsys, scan_n6_cli):
+        # scan and enumerate reports hold the table's own label lists; the
+        # session's scan --n 6 run copied the table before it ran
+        table, before = scan_n6_cli.table, scan_n6_cli.before
+        assert scan_n6_cli.code == 0
         assert main(["antichain", "enumerate", "--n", "6"]) == 0
         assert capsys.readouterr().out
         assert _label_table(6) is table

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -259,6 +262,23 @@ class TestExitCodes:
         code, env = run(capsys, "scan", "--n", "3")
         assert code == 3
         assert env["report"]["counterexamples"]
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader stops after 5 bytes of a 114 kB report, more than a
+        # pipe buffers, so the writer meets the closed pipe
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcover.cli", "antichain", "enumerate",
+             "--n", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(5) == b'{\n  "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_internal_error_exit(self, capsys, monkeypatch):
         def boom(*a, **kw):

@@ -23,6 +23,7 @@ from qcover import (
     validate,
 )
 from qcover import cover as cover_module
+from qcover.antichain import _inextendible_bitsets
 from qcover.ratspan import full_rank_mod_p, span_solve
 
 
@@ -240,8 +241,10 @@ class TestScan:
         b.pop("elapsed_ms")
         assert a == b
 
+    # the pool decides only the filter-deficient antichains: 17 at n = 4,
+    # 4 at n = 3
     @pytest.mark.parametrize(
-        "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 6)]
+        "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 4)]
     )
     def test_pool_capped_by_cpus_and_items(self, monkeypatch, n, cpus, expected):
         # a stand-in pool that runs in process and starts no workers
@@ -299,13 +302,14 @@ class TestScan:
         for n in range(1, 7):
             full = (1 << n) - 1
             acs = inextendible(n)
-            passed = full_rank_mod_p(n, [ac.masks for ac in acs]).tolist()
+            bitsets = _inextendible_bitsets(n)
+            passed = full_rank_mod_p(n, bitsets).tolist()
             deficient[n] = passed.count(False)
-            for ac, full_rank in zip(acs, passed):
+            for ac, full_rank in zip(acs, passed, strict=True):
                 in_span = span_solve(n, ac.masks, full) is not None
                 if full_rank:
                     assert in_span, ac.masks
-                is_cover, _ = cover_module._scan_one((n, ac.masks, full_rank))
+                is_cover = full_rank or cover_module._is_cover((n, ac.masks))
                 assert is_cover == in_span, ac.masks
         assert len(inextendible(6)) == 31_745
         assert deficient[6] == 1_927
@@ -335,8 +339,9 @@ class TestScan:
     def test_certificate_kind_from_masks(self, inextendible):
         for n in range(1, 7):
             acs = inextendible(n)
-            passed = full_rank_mod_p(n, [ac.masks for ac in acs]).tolist()
-            for ac, full_rank in zip(acs, passed):
+            codes = cover_module._bitset_certificates(n, _inextendible_bitsets(n))
+            names = cover_module._kind_names(n)
+            for ac, code in zip(acs, codes.tolist(), strict=True):
                 levels = reference_levels(ac)
                 assert [
                     (d.pivot, d.base_level, d.free_labels, d.bound_met)
@@ -345,8 +350,25 @@ class TestScan:
                 want = reference_certificate_kind(ac, levels)
                 cert = certificate_class_C(ac)
                 assert (None if cert is None else cert.kind) == want, ac.masks
-                got = cover_module._scan_one((n, ac.masks, full_rank))[1]
-                assert got == want
+                assert names[code] == want
+
+    def test_a_non_cover_is_listed_once_and_not_tallied(
+        self, monkeypatch, inextendible
+    ):
+        # every inextendible antichain is a cover for n <= 6, so the exact
+        # stage is made to refute each one the filter leaves to it
+        monkeypatch.setattr(cover_module, "_is_cover", lambda args: False)
+        rep = scan(HistorySpace(5))
+        acs = inextendible(5)
+        passed = full_rank_mod_p(5, [ac.masks for ac in acs]).tolist()
+        assert list(rep.counterexamples) == [
+            ac.to_json() for ac, ok in zip(acs, passed) if not ok
+        ]
+        assert rep.covers == passed.count(True) == 259
+        refuted = {json.dumps(entry) for entry in rep.counterexamples}
+        assert not refuted & {json.dumps(entry) for entry in rep.uncertified}
+        tallied = sum(rep.certificate_counts.values())
+        assert tallied + len(rep.uncertified) == rep.covers
 
     def test_non_cover_takes_the_witness_path(self, monkeypatch):
         verdicts = []
@@ -359,7 +381,7 @@ class TestScan:
         # the three-slit family {1,2}, {2,3}
         masks = (0b011, 0b110)
         assert not full_rank_mod_p(3, [masks])[0]
-        assert cover_module._scan_one((3, masks, False)) == (False, None)
+        assert cover_module._is_cover((3, masks)) is False
         (verdict,) = verdicts
         assert not verdict.is_cover and verdict.union_is_omega
         assert verdict.witness is not None

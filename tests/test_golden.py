@@ -110,6 +110,8 @@ DIGESTS = {
         "db793026dd221469b306452ccf0adac4c5f92c71d65ec7fd86795122b806b5c8",
     "scan --n 5":
         "04d89b4db9f53d53de14e5b8547ae24f671fc49222b0fd5ef564a79d0bb01bd8",
+    "scan --n 6":
+        "30fcd62522a7c0442fdd40fae839c1e307fafb9a40e57f31afa93ee14d0676a4",
     "antichain enumerate --n 1":
         "d6a951a281cc2f737fe3eb1f5ebb9d1965bcd90ed5b5d2d7f14f406bffaa9879",
     "antichain enumerate --n 2":
@@ -263,8 +265,13 @@ def _shape(value, path="") -> set:
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
-def test_integer_report_digest(capsys, strip_volatile, inputs, command):
-    report = _report(capsys, strip_volatile, inputs, command)
+def test_integer_report_digest(capsys, strip_volatile, inputs, command, request):
+    if command == "scan --n 6":  # the session's one CLI run of it
+        run = request.getfixturevalue("scan_n6_cli")
+        assert run.code == 0
+        report = strip_volatile(json.loads(run.out)["report"])
+    else:
+        report = _report(capsys, strip_volatile, inputs, command)
     assert _digest(report) == DIGESTS[command]
 
 

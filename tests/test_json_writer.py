@@ -66,9 +66,22 @@ class TestFixedValues:
         parts = []
         _write_json(obj, parts.append, memo=memo)
         assert "".join(parts) == _reference(obj)
-        memoed = [key for texts in memo.values() for key in texts]
+        # the memo keys each list by its values and by its id
+        lists = {id(value): value for value in obj}
+        memoed = [lists.get(key, key) for texts in memo.values() for key in texts]
         assert memoed
         assert all(type(v) is int for key in memoed for v in key)
+
+    def test_a_list_of_known_int_lists_is_one_write(self):
+        labels, other = [1, 3, 4], [2]
+        obj = [[labels, other], [other, labels, other], [other, [5]]]
+        parts = []
+        _write_json(obj, parts.append)
+        assert "".join(parts) == _reference(obj)
+        # the second list's items were all met in the first
+        nested = _reference([other, labels, other]).replace("\n", "\n  ")
+        assert parts[3] == ",\n  " + nested
+        assert len(parts) == 8
 
     @pytest.mark.parametrize("obj", [
         {1: "x"}, {None: 1}, {(1, 2): 3}, {"a": {2.5: 0}},
@@ -135,21 +148,23 @@ def inputs(tmp_path_factory):
     return {name: str(p) for name, p in paths.items()}
 
 
-@pytest.mark.parametrize(
-    "command", sorted(DIGESTS) + sorted(SHAPES) + ["scan --n 6"]
-)
-def test_cli_text_equals_json(monkeypatch, capsys, inputs, command):
+@pytest.mark.parametrize("command", sorted(DIGESTS) + sorted(SHAPES))
+def test_cli_text_equals_json(monkeypatch, capsys, inputs, command, request):
     # the envelope is caught on its way to the writer, so the stdout text
     # can be set against json.dumps of the very same object
-    seen = []
+    if command == "scan --n 6":  # the session's one CLI run of it
+        run = request.getfixturevalue("scan_n6_cli")
+        code, seen, out = run.code, run.seen, run.out
+    else:
+        seen = []
 
-    def spy(obj, write):
-        seen.append(obj)
-        _write_json(obj, write)
+        def spy(obj, write):
+            seen.append(obj)
+            _write_json(obj, write)
 
-    monkeypatch.setattr(qcover.cli, "_write_json", spy)
-    code = main([arg.format(**inputs) for arg in command.split()])
-    out = capsys.readouterr().out
+        monkeypatch.setattr(qcover.cli, "_write_json", spy)
+        code = main([arg.format(**inputs) for arg in command.split()])
+        out = capsys.readouterr().out
     assert code == 0
     (envelope,) = seen
     assert out == _reference(envelope) + "\n"

@@ -5,6 +5,7 @@ import pytest
 
 from qcover import HistorySpace, enumerate_inextendible
 from qcover import ratspan
+from qcover.antichain import _inextendible_bitsets, _members
 from qcover.ratspan import full_rank_mod_p, span_solve
 
 
@@ -188,6 +189,18 @@ def test_filter_is_exact_on_every_inextendible_antichain(inextendible):
         assert got == [has_full_rank(n, masks) for masks in families]
         passed[n] = got.count(True)
     assert passed == {1: 1, 2: 1, 3: 2, 4: 11, 5: 259, 6: 29_818}
+
+
+@pytest.mark.parametrize("chunk", [100, ratspan._CHUNK])
+def test_bitset_filter_equals_the_mask_filter(monkeypatch, chunk):
+    # the same verdicts from the Gram matmul on antichain bitsets, with
+    # chunk boundaries inside the batch
+    monkeypatch.setattr(ratspan, "_CHUNK", chunk)
+    for n in range(1, 7):
+        bitsets = _inextendible_bitsets(n)
+        families = _members(bitsets, range(64))
+        got = full_rank_mod_p(n, bitsets).tolist()
+        assert got == full_rank_mod_p(n, families).tolist()
 
 
 @pytest.mark.parametrize("chunk", [3, ratspan._CHUNK])
