@@ -34,6 +34,9 @@ from .histories import (
 # enumeration works vertex-by-vertex over all 2^n - 1 nonempty events
 HARD_ENUM_MAX_N = 6
 
+# Bron-Kerbosch nodes expanded per numpy pass of the walk
+_CHUNK = 4096
+
 # structured generators re-verify inextendibility exhaustively before
 # returning, which walks all 2^n events
 GENERATOR_MAX_N = 16
@@ -192,52 +195,45 @@ def _missing_event(flags: int, n: int) -> Optional[int]:
     return (~comparable & (comparable + 1)).bit_length() - 1
 
 
-def _incomparability_adjacency(n: int) -> list[int]:
-    # vertex i stands for mask i+1; adj bitsets over vertex indices
-    masks = np.arange(1, 1 << n)
-    inter = masks[:, None] & masks
-    rows = np.packbits((inter != masks) & (inter != masks[:, None]), axis=1,
-                       bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
 def _inextendible_bitsets(n: int) -> np.ndarray:
     """``enumerate_inextendible``, each antichain one uint64 with bit v for
     mask v + 1: the maximal cliques of the incomparability graph, by
-    Bron-Kerbosch with Tomita's pivot (TCS 363 (2006) 28-42)."""
+    Bron-Kerbosch with Tomita's pivot (TCS 363 (2006) 28-42).
+
+    Nodes (r, p, x) of three vertex bitsets are expanded an array at a
+    time: v in ``cand = p & ~adj[pivot]`` has the child ``r | bit(v)``,
+    ``p & ~before & adj[v]``, ``(x | before) & adj[v]``, ``before`` the
+    candidates below v.  Children with P empty are leaves or dead ends;
+    the rest wait on a LIFO stack of arrays of ``_CHUNK`` nodes or less.
+    """
     if n > HARD_ENUM_MAX_N:
         raise ResourceLimitError(
             f"enumeration over n={n} exceeds the cap n <= {HARD_ENUM_MAX_N}"
         )
-    adj = _incomparability_adjacency(n)
-    found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            found.append(r)
-            return
-        best = -1
-        pivot_adj = 0
-        u = p | x
-        while u:
-            lo = u & -u
-            i = lo.bit_length() - 1
-            deg = (p & adj[i]).bit_count()
-            if deg > best:
-                best = deg
-                pivot_adj = adj[i]
-            u ^= lo
-        cand = p & ~pivot_adj
-        while cand:
-            lo = cand & -cand
-            v = lo.bit_length() - 1
-            expand(r | lo, p & adj[v], x & adj[v])
-            p ^= lo
-            x |= lo
-            cand ^= lo
-
-    expand(0, (1 << len(adj)) - 1, 0)
-    bitsets = np.array(found, dtype=np.uint64)
+    # vertex i stands for mask i + 1; adj[i], its incomparable vertices
+    masks = np.arange(1, 1 << n)
+    inter = masks[:, None] & masks
+    apart = (inter != masks) & (inter != masks[:, None])
+    adj = apart @ (1 << np.arange(len(masks), dtype=np.uint64))
+    stack = [tuple(np.array([[0], [(1 << len(adj)) - 1], [0]], np.uint64))]
+    found = []
+    while stack:
+        r, p, x = stack.pop()
+        # 1 + |P & adj[u]| for u in P u X, else 0; argmax takes the lowest
+        score = np.bitwise_count(p[:, None] & adj) + 1
+        cand = p & ~adj[(score * _bit_rows(p | x)[:, : len(adj)]).argmax(1)]
+        # one child per (node, candidate v), 64 bits to a node's row
+        hit = np.flatnonzero(_bit_rows(cand).view(bool)).astype(np.uint64)
+        node, v = hit >> 6, hit & 63
+        bit = 1 << v
+        r, before = r[node] | bit, cand[node] & (bit - 1)
+        p, x = p[node] & ~before & adj[v], (x[node] | before) & adj[v]
+        found.append(r[(p | x) == 0])
+        live = p != 0
+        r, p, x = r[live], p[live], x[live]
+        for start in range(0, len(r), _CHUNK):
+            stack.append(tuple(a[start : start + _CHUNK] for a in (r, p, x)))
+    bitsets = np.concatenate(found)
     # sorted member tuples first differ at the lowest vertex in just one
     # of them, which comes first; packed big-endian, it is the top bit
     key = np.packbits(_bit_rows(bitsets), axis=1).view(">u8").ravel()

@@ -43,7 +43,8 @@ from .antichain import (
 from .errors import ConsistencyError, SpaceMismatchError
 from .histories import Event, HistorySpace, JsonRecord, _bit_rows
 from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
-from .ratspan import complement_projector, full_rank_mod_p, span_solve
+from .ratspan import (complement_projector, full_rank_mod_p, ones_in_span,
+                      span_solve)
 
 
 @dataclass(frozen=True)
@@ -232,13 +233,12 @@ class ScanReport(JsonRecord):
     elapsed_ms: float
 
 
-def _is_cover(args: tuple[int, list[int]]) -> bool:
-    # the exact verdict on an antichain the mod-p filter left undecided
+def _refute(args: tuple[int, list[int]]) -> None:
+    # decide builds and checks the witness of an antichain refuted in batch
     n, masks = args
     space = HistorySpace(n)
-    return span_solve(n, masks, space.full_mask) is not None or decide(
-        space, [Event(m, space) for m in masks]
-    ).is_cover
+    if decide(space, [Event(m, space) for m in masks]).is_cover:
+        raise ConsistencyError(f"decide finds refuted masks {masks} a cover")
 
 
 def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
@@ -249,12 +249,12 @@ def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
     pass over all of them.  ``ratspan.full_rank_mod_p`` eliminates every
     n x n Gram matrix mod a 31-bit prime: a determinant nonzero mod p is
     nonzero, so the members span Q^n and chi_Omega is in their span, a
-    cover.  Only the rest are unpacked to masks for ``span_solve``
-    (Bareiss), and a non-cover takes ``decide``, which builds and checks
-    its witness: at n = 6, 1,927 of 31,745, all covers, shared by
-    ``workers`` processes.  Certificate kinds come from level unions, and
-    the antichains listed are unpacked last, in the walk's canonical
-    order, so the report is the same for any worker count.
+    cover.  ``ratspan.ones_in_span`` decides the rest in one exact pass:
+    at n = 6, 1,927 of 31,745, all covers.  A refuted antichain goes to
+    ``decide``, which must agree and checks its witness, on ``workers``
+    processes (none at n <= 6).  Certificate kinds come from level
+    unions, and the antichains listed are unpacked last, in the walk's
+    canonical order, so the report is the same for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -263,17 +263,17 @@ def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
     bitsets = _inextendible_bitsets(n)
     is_cover = full_rank_mod_p(n, bitsets)
     deficient = np.flatnonzero(~is_cover)
-    payload = [(n, m) for m in _members(bitsets[deficient], range(64))]
+    is_cover[deficient] = ones_in_span(n, bitsets[deficient])[0]
+    payload = [(n, m) for m in _members(bitsets[~is_cover], range(64))]
     if workers == 1 or len(payload) < 4:
-        verdicts = list(map(_is_cover, payload))
+        list(map(_refute, payload))
     else:
         # the pool forks every worker up front, so never ask for more
         # processes than there are CPUs or items
         procs = min(workers, os.cpu_count() or 1, len(payload))
         chunk = max(1, len(payload) // (4 * procs))
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            verdicts = list(pool.map(_is_cover, payload, chunksize=chunk))
-    is_cover[deficient] = verdicts
+            list(pool.map(_refute, payload, chunksize=chunk))
     code = _bitset_certificates(n, bitsets)
     # a certificate claims a cover, so a non-cover gets none
     code[~is_cover] = -1

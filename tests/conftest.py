@@ -68,20 +68,11 @@ def strip_volatile():
     return _strip_volatile
 
 
-@pytest.fixture(scope="session")
-def scan_n6_cli():
-    """One CLI run of ``scan --n 6``, shared by the tests that read it.
-
-    Holds the exit ``code``, the objects handed to the writer (``seen``),
-    the stdout text (``out``), and the n = 6 label table with a copy of
-    its lists (``table``, ``before``) taken before the run.
-    """
+def _spied_cli_run(argv):
+    # exit code, the objects handed to the writer and the stdout text
     import qcover.cli
-    from qcover.antichain import _label_table
     from qcover.histories import _write_json
 
-    table = _label_table(6)
-    before = [list(labels) for labels in table]
     seen = []
 
     def spy(obj, write):
@@ -90,7 +81,36 @@ def scan_n6_cli():
 
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(StringIO()) as buf:
         mp.setattr(qcover.cli, "_write_json", spy)
-        code = qcover.cli.main(["scan", "--n", "6"])
-    return SimpleNamespace(
-        code=code, seen=seen, out=buf.getvalue(), table=table, before=before
-    )
+        code = qcover.cli.main(argv)
+    return SimpleNamespace(code=code, seen=seen, out=buf.getvalue())
+
+
+# the commands the session runs once, each by the fixture named here
+SHARED_CLI_RUNS = {
+    "scan --n 6": "scan_n6_cli",
+    "antichain enumerate --n 6": "enumerate_n6_cli",
+}
+
+
+@pytest.fixture(scope="session")
+def scan_n6_cli():
+    """One CLI run of ``scan --n 6``, shared by the tests that read it.
+
+    Holds the exit ``code``, the objects handed to the writer (``seen``),
+    the stdout text (``out``), and the n = 6 label table with a copy of
+    its lists (``table``, ``before``) taken before the run.
+    """
+    from qcover.antichain import _label_table
+
+    table = _label_table(6)
+    before = [list(labels) for labels in table]
+    run = _spied_cli_run(["scan", "--n", "6"])
+    run.table, run.before = table, before
+    return run
+
+
+@pytest.fixture(scope="session")
+def enumerate_n6_cli(scan_n6_cli):
+    """One CLI run of ``antichain enumerate --n 6``, made after the
+    session's ``scan --n 6`` run, with the same fields but the table."""
+    return _spied_cli_run(["antichain", "enumerate", "--n", "6"])

@@ -14,13 +14,13 @@ from qcover import (
     is_antichain,
     is_inextendible,
 )
+from qcover import antichain as antichain_module
 from qcover.antichain import (
     _antichain_unchecked,
     _inextendible_bitsets,
     _label_table,
     _members,
 )
-from qcover.cli import main
 
 
 class TestConstruction:
@@ -153,6 +153,13 @@ class TestEnumeration:
                     assert is_inextendible(ac) == (True, None)
         assert counts == [1, 2, 6, 28, 375, 31_745]
 
+    def test_walk_chunk_size_is_invisible(self, monkeypatch):
+        # small node arrays put many chunk boundaries inside each pass
+        whole = [_inextendible_bitsets(n) for n in range(1, 7)]
+        for n, chunk in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 3), (6, 700)]:
+            monkeypatch.setattr(antichain_module, "_CHUNK", chunk)
+            assert _inextendible_bitsets(n).tolist() == whole[n - 1].tolist()
+
     def test_canonical_order(self, space4):
         acs = list(enumerate_inextendible(space4))
         keys = [ac.masks for ac in acs]
@@ -162,13 +169,16 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             list(enumerate_inextendible(HistorySpace(7)))
 
-    def test_shared_label_table_survives_the_cli(self, capsys, scan_n6_cli):
+    def test_shared_label_table_survives_the_cli(
+        self, scan_n6_cli, enumerate_n6_cli
+    ):
         # scan and enumerate reports hold the table's own label lists; the
-        # session's scan --n 6 run copied the table before it ran
+        # session's scan --n 6 run copied the table before it ran, and
+        # its enumerate --n 6 run came after
         table, before = scan_n6_cli.table, scan_n6_cli.before
         assert scan_n6_cli.code == 0
-        assert main(["antichain", "enumerate", "--n", "6"]) == 0
-        assert capsys.readouterr().out
+        assert enumerate_n6_cli.code == 0
+        assert enumerate_n6_cli.out
         assert _label_table(6) is table
         assert [list(labels) for labels in table] == before
         assert before[0b101101] == [1, 3, 4, 6]

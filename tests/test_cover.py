@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +25,8 @@ from qcover import (
     validate,
 )
 from qcover import cover as cover_module
-from qcover.antichain import _inextendible_bitsets
-from qcover.ratspan import full_rank_mod_p, span_solve
+from qcover.antichain import _inextendible_bitsets, _members
+from qcover.ratspan import full_rank_mod_p, ones_in_span, span_solve
 
 
 def reference_levels(ac):
@@ -82,6 +84,16 @@ def reference_scan(space, acs):
         "uncertified": uncertified,
         "certificate_counts": dict(sorted(tallies.items())),
     }
+
+
+def refute_every_deficient_antichain(monkeypatch):
+    """Make the scan's exact stage place every antichain it gets outside
+    the span, as it would a non-cover: none is one for n <= 6."""
+
+    def refuting(n, bitsets):
+        return np.zeros(len(bitsets), dtype=bool), ones_in_span(n, bitsets)[1]
+
+    monkeypatch.setattr(cover_module, "ones_in_span", refuting)
 
 
 class TestDecide:
@@ -241,12 +253,15 @@ class TestScan:
         b.pop("elapsed_ms")
         assert a == b
 
-    # the pool decides only the filter-deficient antichains: 17 at n = 4,
-    # 4 at n = 3
+    # the pool gets only the antichains the exact stage refutes, here made
+    # to be every filter-deficient one: 17 at n = 4, 4 at n = 3
     @pytest.mark.parametrize(
         "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 4)]
     )
     def test_pool_capped_by_cpus_and_items(self, monkeypatch, n, cpus, expected):
+        refute_every_deficient_antichain(monkeypatch)
+        # decide, which would find each a cover, is not what is tested here
+        monkeypatch.setattr(cover_module, "_refute", lambda args: None)
         # a stand-in pool that runs in process and starts no workers
         requested = []
 
@@ -271,6 +286,38 @@ class TestScan:
         pooled.pop("elapsed_ms")
         serial.pop("elapsed_ms")
         assert pooled == serial
+
+    def test_process_pool_gives_the_serial_outcome(self, monkeypatch):
+        # at n <= 6 the exact stage refutes nothing and no process starts,
+        # so here it refutes all 17 deficient antichains of n = 4; a real
+        # pool of two workers runs decide on them, as the serial run does
+        refute_every_deficient_antichain(monkeypatch)
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cover_module, "ProcessPoolExecutor", RecordingPool)
+
+        def outcome(workers):
+            try:
+                report = scan(HistorySpace(4), workers=workers).to_json()
+            except ConsistencyError as exc:
+                return "ConsistencyError", str(exc)
+            report.pop("elapsed_ms")
+            return "report", report
+
+        serial = outcome(1)
+        assert started == []
+        pooled = outcome(2)
+        assert started == [min(2, os.cpu_count() or 1)]
+        assert pooled == serial
+        # decide finds every one a cover, and says which antichain came first
+        assert serial == (
+            "ConsistencyError", "decide finds refuted masks [1, 2, 12] a cover"
+        )
 
     def test_json_keys(self):
         data = scan(HistorySpace(3)).to_json()
@@ -304,13 +351,15 @@ class TestScan:
             acs = inextendible(n)
             bitsets = _inextendible_bitsets(n)
             passed = full_rank_mod_p(n, bitsets).tolist()
+            exact = ones_in_span(n, bitsets)[0].tolist()
             deficient[n] = passed.count(False)
-            for ac, full_rank in zip(acs, passed, strict=True):
+            for ac, full_rank, in_exact_span in zip(
+                acs, passed, exact, strict=True
+            ):
                 in_span = span_solve(n, ac.masks, full) is not None
                 if full_rank:
                     assert in_span, ac.masks
-                is_cover = full_rank or cover_module._is_cover((n, ac.masks))
-                assert is_cover == in_span, ac.masks
+                assert in_exact_span == in_span, ac.masks
         assert len(inextendible(6)) == 31_745
         assert deficient[6] == 1_927
 
@@ -318,17 +367,29 @@ class TestScan:
     def test_bareiss_runs_only_on_filter_deficient(
         self, monkeypatch, inextendible, n
     ):
-        calls = []
+        # the exact stage gets the filter-deficient antichains in one batch,
+        # and at n <= 6 none is left for decide's span_solve
+        batches, calls = [], []
+
+        def counting_stage(n, bitsets):
+            batches.append(bitsets)
+            return ones_in_span(n, bitsets)
 
         def counting(n, masks, target):
             calls.append(masks)
             return span_solve(n, masks, target)
 
+        monkeypatch.setattr(cover_module, "ones_in_span", counting_stage)
         monkeypatch.setattr(cover_module, "span_solve", counting)
         scan(HistorySpace(n))
         passed = full_rank_mod_p(n, [ac.masks for ac in inextendible(n)])
-        assert len(calls) == int((~passed).sum())
-        assert len(calls) == {5: 116, 6: 1_927}[n]
+        (batch,) = batches
+        assert len(batch) == int((~passed).sum())
+        assert len(batch) == {5: 116, 6: 1_927}[n]
+        assert _members(batch, range(64)) == [
+            list(ac.masks) for ac, ok in zip(inextendible(n), passed) if not ok
+        ]
+        assert calls == []
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_object_path(self, inextendible, n):
@@ -356,8 +417,10 @@ class TestScan:
         self, monkeypatch, inextendible
     ):
         # every inextendible antichain is a cover for n <= 6, so the exact
-        # stage is made to refute each one the filter leaves to it
-        monkeypatch.setattr(cover_module, "_is_cover", lambda args: False)
+        # stage is made to refute each one the filter leaves to it, and
+        # decide, which would disagree, to accept the refutation
+        refute_every_deficient_antichain(monkeypatch)
+        monkeypatch.setattr(cover_module, "_refute", lambda args: None)
         rep = scan(HistorySpace(5))
         acs = inextendible(5)
         passed = full_rank_mod_p(5, [ac.masks for ac in acs]).tolist()
@@ -381,7 +444,10 @@ class TestScan:
         # the three-slit family {1,2}, {2,3}
         masks = (0b011, 0b110)
         assert not full_rank_mod_p(3, [masks])[0]
-        assert cover_module._is_cover((3, masks)) is False
+        bitset = np.array([sum(1 << (m - 1) for m in masks)], dtype=np.uint64)
+        in_span, rank = ones_in_span(3, bitset)
+        assert not in_span[0] and rank[0] == 2
+        assert cover_module._refute((3, masks)) is None
         (verdict,) = verdicts
         assert not verdict.is_cover and verdict.union_is_omega
         assert verdict.witness is not None

@@ -17,6 +17,8 @@ import pytest
 
 from qcover.cli import main
 
+from conftest import SHARED_CLI_RUNS
+
 FAMILIES = {
     "pair": {"n": 2, "elements": [[1], [2]]},
     "threeslit": {"n": 3, "elements": [[1, 2], [2, 3]]},
@@ -122,6 +124,9 @@ DIGESTS = {
         "ce1d8fd347cca0e3abc2d6d19d5adec2aaeec184553f0719739c2cc339c5c8c8",
     "antichain enumerate --n 5":
         "64a20254012bb609d7ad95a93d9334bb917faa6020f61c77671aa1b0b4e9bf2a",
+    # pins the walk's canonical order over all 31,745 antichains
+    "antichain enumerate --n 6":
+        "fb18c47bef4a302e1ccd184f9792185838a3402c7718e90063c5f894154f51c3",
     "antichain classify --antichain {pair}":
         "e9df20ab0ec2542409670d3eac6d10eb38232f89b270a4079bcbd3c41ff8d6d2",
     "antichain classify --antichain {pivot4}":
@@ -266,8 +271,8 @@ def _shape(value, path="") -> set:
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_integer_report_digest(capsys, strip_volatile, inputs, command, request):
-    if command == "scan --n 6":  # the session's one CLI run of it
-        run = request.getfixturevalue("scan_n6_cli")
+    if command in SHARED_CLI_RUNS:  # the session's one CLI run of it
+        run = request.getfixturevalue(SHARED_CLI_RUNS[command])
         assert run.code == 0
         report = strip_volatile(json.loads(run.out)["report"])
     else:

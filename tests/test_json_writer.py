@@ -18,6 +18,7 @@ import qcover.cli
 from qcover.cli import main
 from qcover.histories import _write_json
 
+from conftest import SHARED_CLI_RUNS
 from test_golden import DIGESTS, FAMILIES, FUNCTIONALS, SHAPES
 
 
@@ -152,8 +153,8 @@ def inputs(tmp_path_factory):
 def test_cli_text_equals_json(monkeypatch, capsys, inputs, command, request):
     # the envelope is caught on its way to the writer, so the stdout text
     # can be set against json.dumps of the very same object
-    if command == "scan --n 6":  # the session's one CLI run of it
-        run = request.getfixturevalue("scan_n6_cli")
+    if command in SHARED_CLI_RUNS:  # the session's one CLI run of it
+        run = request.getfixturevalue(SHARED_CLI_RUNS[command])
         code, seen, out = run.code, run.seen, run.out
     else:
         seen = []

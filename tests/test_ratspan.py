@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcover import HistorySpace, enumerate_inextendible
 from qcover import ratspan
 from qcover.antichain import _inextendible_bitsets, _members
-from qcover.ratspan import full_rank_mod_p, span_solve
+from qcover.ratspan import full_rank_mod_p, ones_in_span, span_solve
 
 
 def test_three_slit_family_misses_omega():
@@ -233,3 +235,48 @@ def test_filter_across_the_default_chunk_boundary():
 
 def test_filter_on_an_empty_batch():
     assert full_rank_mod_p(4, []).tolist() == []
+
+
+@pytest.mark.parametrize("chunk", [7, ratspan._CHUNK])
+def test_exact_stage_matches_span_solve_on_random_families(monkeypatch, chunk):
+    # distinct nonempty members, padded to different widths per chunk,
+    # with chunk boundaries inside the batch; the rank is the pivot count
+    # of the loop elimination on the member rows
+    monkeypatch.setattr(ratspan, "_CHUNK", chunk)
+    rng = random.Random("ratspan:exact")
+    outcomes = Counter()
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        families = [
+            rng.sample(range(1, full + 1), rng.randint(1, min(n + 2, full)))
+            for _ in range(120)
+        ]
+        bitsets = np.array(
+            [sum(1 << (m - 1) for m in members) for members in families],
+            dtype=np.uint64,
+        )
+        in_span, rank = ones_in_span(n, bitsets)
+        for members, got, r in zip(families, in_span, rank, strict=True):
+            assert got == (span_solve(n, members, full) is not None), members
+            rows = [[m >> bit & 1 for bit in range(n)] for m in members]
+            assert r == len(ratspan._eliminate(rows, n)), members
+            union = 0
+            for m in members:
+                union |= m
+            outcomes[bool(got), union == full] += 1
+    # about a third are non-covers, some with union Omega
+    assert outcomes == {(True, True): 487, (False, False): 177,
+                        (False, True): 56}
+
+
+def test_exact_stage_rank_split_at_n6():
+    # every antichain the filter leaves over at n = 6 is a cover, by rank
+    bitsets = _inextendible_bitsets(6)
+    in_span, rank = ones_in_span(6, bitsets[~full_rank_mod_p(6, bitsets)])
+    assert in_span.all()
+    assert Counter(rank.tolist()) == {1: 1, 2: 6, 3: 30, 4: 180, 5: 1_710}
+
+
+def test_exact_stage_on_an_empty_batch():
+    in_span, rank = ones_in_span(4, np.zeros(0, dtype=np.uint64))
+    assert in_span.tolist() == [] and rank.tolist() == []
