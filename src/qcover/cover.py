@@ -43,8 +43,7 @@ from .antichain import (
 from .errors import ConsistencyError, SpaceMismatchError
 from .histories import Event, HistorySpace, JsonRecord, _bit_rows
 from .measure import TOL_ZERO, DecoherenceFunctional, mu_table
-from .ratspan import (complement_projector, full_rank_mod_p, ones_in_span,
-                      span_solve)
+from .ratspan import complement_projector, ones_in_span, span_solve
 
 
 @dataclass(frozen=True)
@@ -246,24 +245,21 @@ def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
 
     Each antichain stays one int, the bitset of its members
     (``antichain._inextendible_bitsets``), and each stage is one batched
-    pass over all of them.  ``ratspan.full_rank_mod_p`` eliminates every
-    n x n Gram matrix mod a 31-bit prime: a determinant nonzero mod p is
-    nonzero, so the members span Q^n and chi_Omega is in their span, a
-    cover.  ``ratspan.ones_in_span`` decides the rest in one exact pass:
-    at n = 6, 1,927 of 31,745, all covers.  A refuted antichain goes to
-    ``decide``, which must agree and checks its witness, on ``workers``
-    processes (none at n <= 6).  Certificate kinds come from level
-    unions, and the antichains listed are unpacked last, in the walk's
-    canonical order, so the report is the same for any worker count.
+    pass over all of them.  ``ratspan.ones_in_span`` decides every one in
+    a single exact pass, a fraction-free elimination of each member Gram
+    matrix in int64: at n = 6 all 31,745 are covers.  A refuted antichain
+    goes to ``decide``, which must agree and checks its witness, on
+    ``workers`` processes (none at n <= 6).  Certificate kinds come from
+    level unions, and the antichains listed are unpacked last, in the
+    walk's canonical order, so the report is the same for any worker
+    count.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     t0 = time.perf_counter()
     n = space.n
     bitsets = _inextendible_bitsets(n)
-    is_cover = full_rank_mod_p(n, bitsets)
-    deficient = np.flatnonzero(~is_cover)
-    is_cover[deficient] = ones_in_span(n, bitsets[deficient])[0]
+    is_cover = ones_in_span(n, bitsets)[0]
     payload = [(n, m) for m in _members(bitsets[~is_cover], range(64))]
     if workers == 1 or len(payload) < 4:
         list(map(_refute, payload))

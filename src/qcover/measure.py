@@ -123,6 +123,8 @@ class DecoherenceFunctional:
         rows = data["entries"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("entries shape does not match n")
+        if any(len(cell) != 2 for row in rows for cell in row):
+            raise ValueError("each entry must be a [re, im] pair")
         arr = np.array(
             [[complex(cell[0], cell[1]) for cell in row] for row in rows],
             dtype=np.complex128,

@@ -8,15 +8,14 @@ orthogonal projectors alike: it runs fraction-free over Python ints
 ``pv * row - f * pivot_row`` followed by division by the row's gcd, so
 entries stay small integers.  Results are integers over one denominator,
 or a ``Fraction`` per final coefficient; nothing here touches floating
-point.  Two batched numpy passes stand in for that loop on antichains:
-``full_rank_mod_p`` proves full rank for most at once, mod a prime,
-and ``ones_in_span`` decides the rest exactly, fraction free in int64.
+point.  One batched numpy pass stands in for that loop on antichains:
+``ones_in_span`` eliminates every member Gram matrix at once, fraction
+free and exact in int64.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -128,88 +127,50 @@ def complement_projector(
     return num, den
 
 
-# a 31-bit prime: residues below it multiply to less than 2^62, so every
-# product and difference of the elimination fits in int64
-_PRIME = 2**31 - 1
 # families per batch, so the bit and Gram arrays stay a few MB each
 _CHUNK = 4096
-
-
-def full_rank_mod_p(n: int, families) -> np.ndarray:
-    """One bool per family: True proves its members' indicators span Q^n.
-
-    For the m x n indicator matrix M, G = M^T M is n x n: G_ij counts the
-    members holding both histories i and j.  G is eliminated mod the
-    prime p = 2^31 - 1 without division or row exchanges, each row below
-    the pivot becoming ``piv * row - f * pivot_row``.  While piv is
-    nonzero mod p such a step keeps the rank over GF(p), so n nonzero
-    pivots mean det G is nonzero mod p, hence nonzero: rank n over Q.
-    False is no verdict: for a family of rank n, G is positive definite,
-    so a False means p divides one of its leading principal minors.
-
-    A family is a sequence of member masks, which may repeat (fewer than
-    p of them), or ``families`` is a uint64 array of antichain bitsets,
-    bit v for mask v + 1 (n <= 6).  G sums the members' pair rows (bit i
-    times bit j at column n i + j), for bitsets by one float32 matmul,
-    exact below 2^24; ``_CHUNK`` families go through numpy at a time.
-    """
-
-    def pairs(masks: np.ndarray) -> np.ndarray:
-        bits = (masks[:, None] >> np.arange(n) & 1).astype(np.int8)
-        return (bits[:, :, None] * bits[:, None, :]).reshape(len(masks), -1)
-
-    out = np.empty(len(families), dtype=bool)
-    for start in range(0, len(families), _CHUNK):
-        part = families[start : start + _CHUNK]
-        if isinstance(part, np.ndarray):
-            member = _bit_rows(part)[:, : (1 << n) - 1].astype(np.float32)
-            gram = member @ pairs(np.arange(1, 1 << n)).astype(np.float32)
-        else:
-            sizes = list(map(len, part))
-            flat = np.fromiter(chain.from_iterable(part), np.int64, sum(sizes))
-            cells = np.repeat(np.arange(len(part)) * n * n, sizes)[:, None]
-            cells = (cells + np.arange(n * n)).ravel()
-            gram = np.bincount(cells, pairs(flat).ravel(), len(part) * n * n)
-        gram = gram.astype(np.int64).reshape(-1, n, n)
-        ok = np.ones(len(part), dtype=bool)
-        for _ in range(n):
-            piv = gram[:, :1, :1]
-            ok &= piv[:, 0, 0] != 0
-            below = piv * gram[:, 1:, 1:] - gram[:, 1:, :1] * gram[:, :1, 1:]
-            gram = below % _PRIME
-        out[start : start + len(part)] = ok
-    return out
 
 
 def ones_in_span(n: int, bitsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per antichain bitset (bit v for mask v + 1, n <= 6): whether
     chi_Omega is in the span of the members' indicators, and its rank.
 
-    The member rows, zero rows to pad, then the all-ones row are
-    eliminated fraction free (Bareiss): a column's pivot is the first
-    member row nonzero there, and each row becomes
-    ``(piv * row - f * pivot_row) / prev``, prev the last pivot, which
-    zeroes the pivot row.  Every entry is a minor of order <= n of a 0/1
-    matrix, so the division is exact and |entry| <= 9 at n = 6 (32 at
-    n = 7, OEIS A003432): int64 is exact.  The pivots count the rank;
-    chi_Omega is in the span iff the ones row ends as zero.
+    For the m x n indicator matrix M, G = M^T M is n x n: G_ij counts the
+    members holding both histories i and j, one float32 matmul of the
+    membership rows against the members' pair rows (bit i times bit j at
+    column n i + j), exact below 2^24.  The span is the column space of
+    G, so [G | 1] is eliminated fraction free (Bareiss) with pivots on
+    the diagonal: the trailing block loses a row and a column per step,
+    becoming ``(piv * a[1:, 1:] - a[1:, :1] * a[:1, 1:]) // prev``.  G
+    is positive semidefinite, and so is every scaled Schur complement,
+    so a zero pivot has a zero row: it adds nothing to the rank and prev
+    stays.  chi_Omega is outside the span iff the ones column is nonzero
+    at some zero pivot.
+
+    Every entry is a minor of [G | 1].  By Cauchy-Binet an order-k minor
+    of G is at most C(m, k) h(k)^2, h(k) the largest k x k 0/1
+    determinant (OEIS A003432), and one holding the ones column is at
+    most k times one of order k - 1.  The widest products are of two
+    order n - 1 minors: below (C(63, 5) 25)^2 ~ 3.1e16 < 2^55 for any
+    bitset at n <= 6, and below (C(35, 6) 81)^2 ~ 1.7e16 for antichains
+    at n = 7 (m <= 35, Sperner), so int64 is exact.  ``_CHUNK`` families
+    go through numpy at a time.
     """
+    bits = np.arange(1, 1 << n) >> np.arange(n)[:, None] & 1
+    pairs = (bits[:, None] * bits).reshape(n * n, -1).astype(np.float32)
     out = np.empty((len(bitsets), 2), dtype=np.int64)  # in span, rank
     for start in range(0, len(bitsets), _CHUNK):
         part = bitsets[start : start + _CHUNK]
-        family, vertex = np.nonzero(_bit_rows(part))
-        sizes = np.bitwise_count(part).astype(np.int64)
-        rows = np.zeros((len(part), sizes.max() + 1, n), dtype=np.int64)
-        slot = np.arange(len(family)) - (np.cumsum(sizes) - sizes)[family]
-        rows[family, slot] = (vertex[:, None] + 1) >> np.arange(n) & 1
-        rows[:, -1] = 1
-        prev, at, rank = 1, np.arange(len(part)), 0
-        for c in range(n):
-            prow = rows[at, (rows[:, :-1, c] != 0).argmax(axis=1)][:, None]
-            # a zero pivot entry: no member row is nonzero in c, no row moves
-            has = prow[..., c, None] != 0
-            piv = np.where(has, prow[..., c, None], prev)
-            rows = (piv * rows - has * rows[..., c, None] * prow) // prev
-            prev, rank = piv, rank + has.ravel()
-        out[start : start + len(part)] = np.c_[~rows[:, -1].any(axis=1), rank]
+        member = _bit_rows(part)[:, : (1 << n) - 1].astype(np.float32)
+        # [G | 1] per family; the family axis last keeps each step contiguous
+        a = np.ones((n, n + 1, len(part)), dtype=np.int64)
+        a[:, :n] = (pairs @ member.T).reshape(n, n, -1)
+        prev, rank, outside = 1, 0, False
+        for _ in range(n):
+            has = a[0, 0] != 0
+            outside = outside | ~has & (a[0, -1] != 0)
+            piv = np.where(has, a[0, 0], prev)
+            a = (piv * a[1:, 1:] - a[1:, :1] * a[:1, 1:]) // prev
+            prev, rank = piv, rank + has
+        out[start : start + len(part)] = np.c_[~outside, rank]
     return out[:, 0] == 1, out[:, 1]

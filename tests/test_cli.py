@@ -221,6 +221,16 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", [[1.0], [1.0, 0.0, 5.0]])
+    def test_entry_cells_are_re_im_pairs(self, capsys, tmp_path, cell):
+        # one number was an IndexError, three were read by the first two
+        functional = tmp_path / "d.json"
+        functional.write_text(json.dumps({"n": 1, "entries": [[cell]]}))
+        for argv in (["coevents", "--dmatrix", str(functional)],
+                     ["validate", "--dmatrix", str(functional)]):
+            assert main(argv) == 2, argv
+            assert "[re, im] pair" in capsys.readouterr().err
+
     def test_sample_cap(self, capsys):
         # refused before anything is drawn
         assert main(["pks", "sample", "--samples", str(SAMPLE_MAX + 1)]) == 2

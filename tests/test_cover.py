@@ -26,7 +26,7 @@ from qcover import (
 )
 from qcover import cover as cover_module
 from qcover.antichain import _inextendible_bitsets, _members
-from qcover.ratspan import full_rank_mod_p, ones_in_span, span_solve
+from qcover.ratspan import _eliminate, ones_in_span, span_solve
 
 
 def reference_levels(ac):
@@ -87,11 +87,12 @@ def reference_scan(space, acs):
 
 
 def refute_every_deficient_antichain(monkeypatch):
-    """Make the scan's exact stage place every antichain it gets outside
-    the span, as it would a non-cover: none is one for n <= 6."""
+    """Make the scan's exact pass place every antichain of rank below n
+    outside the span, as it would a non-cover: none is one for n <= 6."""
 
     def refuting(n, bitsets):
-        return np.zeros(len(bitsets), dtype=bool), ones_in_span(n, bitsets)[1]
+        rank = ones_in_span(n, bitsets)[1]
+        return rank == n, rank
 
     monkeypatch.setattr(cover_module, "ones_in_span", refuting)
 
@@ -253,8 +254,8 @@ class TestScan:
         b.pop("elapsed_ms")
         assert a == b
 
-    # the pool gets only the antichains the exact stage refutes, here made
-    # to be every filter-deficient one: 17 at n = 4, 4 at n = 3
+    # the pool gets only the antichains the exact pass refutes, here made
+    # to be every one of rank below n: 17 at n = 4, 4 at n = 3
     @pytest.mark.parametrize(
         "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 4)]
     )
@@ -288,8 +289,8 @@ class TestScan:
         assert pooled == serial
 
     def test_process_pool_gives_the_serial_outcome(self, monkeypatch):
-        # at n <= 6 the exact stage refutes nothing and no process starts,
-        # so here it refutes all 17 deficient antichains of n = 4; a real
+        # at n <= 6 the exact pass refutes nothing and no process starts,
+        # so here it refutes all 17 of rank below 4 at n = 4; a real
         # pool of two workers runs decide on them, as the serial run does
         refute_every_deficient_antichain(monkeypatch)
         started = []
@@ -343,21 +344,19 @@ class TestScan:
             scan(HistorySpace(3), workers=0)
 
     def test_rank_first_verdicts_are_exact(self, inextendible):
-        # a Gram determinant nonzero mod p is nonzero, so Q^n is spanned;
-        # every verdict must match the Bareiss decision on the same masks
+        # rank n means the members span Q^n; every verdict of the Gram
+        # pass must match the Bareiss decision on the same masks
         deficient = {}
         for n in range(1, 7):
             full = (1 << n) - 1
             acs = inextendible(n)
-            bitsets = _inextendible_bitsets(n)
-            passed = full_rank_mod_p(n, bitsets).tolist()
-            exact = ones_in_span(n, bitsets)[0].tolist()
-            deficient[n] = passed.count(False)
-            for ac, full_rank, in_exact_span in zip(
-                acs, passed, exact, strict=True
+            exact, rank = ones_in_span(n, _inextendible_bitsets(n))
+            deficient[n] = int((rank < n).sum())
+            for ac, r, in_exact_span in zip(
+                acs, rank.tolist(), exact.tolist(), strict=True
             ):
                 in_span = span_solve(n, ac.masks, full) is not None
-                if full_rank:
+                if r == n:
                     assert in_span, ac.masks
                 assert in_exact_span == in_span, ac.masks
         assert len(inextendible(6)) == 31_745
@@ -367,8 +366,8 @@ class TestScan:
     def test_bareiss_runs_only_on_filter_deficient(
         self, monkeypatch, inextendible, n
     ):
-        # the exact stage gets the filter-deficient antichains in one batch,
-        # and at n <= 6 none is left for decide's span_solve
+        # the exact pass gets every antichain in one batch, and at n <= 6
+        # none is left for decide's span_solve
         batches, calls = [], []
 
         def counting_stage(n, bitsets):
@@ -382,12 +381,10 @@ class TestScan:
         monkeypatch.setattr(cover_module, "ones_in_span", counting_stage)
         monkeypatch.setattr(cover_module, "span_solve", counting)
         scan(HistorySpace(n))
-        passed = full_rank_mod_p(n, [ac.masks for ac in inextendible(n)])
         (batch,) = batches
-        assert len(batch) == int((~passed).sum())
-        assert len(batch) == {5: 116, 6: 1_927}[n]
+        assert len(batch) == {5: 375, 6: 31_745}[n]
         assert _members(batch, range(64)) == [
-            list(ac.masks) for ac, ok in zip(inextendible(n), passed) if not ok
+            list(ac.masks) for ac in inextendible(n)
         ]
         assert calls == []
 
@@ -417,17 +414,19 @@ class TestScan:
         self, monkeypatch, inextendible
     ):
         # every inextendible antichain is a cover for n <= 6, so the exact
-        # stage is made to refute each one the filter leaves to it, and
-        # decide, which would disagree, to accept the refutation
+        # pass is made to refute each one of rank below n, and decide,
+        # which would disagree, to accept the refutation
         refute_every_deficient_antichain(monkeypatch)
         monkeypatch.setattr(cover_module, "_refute", lambda args: None)
         rep = scan(HistorySpace(5))
         acs = inextendible(5)
-        passed = full_rank_mod_p(5, [ac.masks for ac in acs]).tolist()
+        rows = [[[m >> b & 1 for b in range(5)] for m in ac.masks]
+                for ac in acs]
+        rank = [len(_eliminate(r, 5)) for r in rows]
         assert list(rep.counterexamples) == [
-            ac.to_json() for ac, ok in zip(acs, passed) if not ok
+            ac.to_json() for ac, r in zip(acs, rank) if r < 5
         ]
-        assert rep.covers == passed.count(True) == 259
+        assert rep.covers == rank.count(5) == 259
         refuted = {json.dumps(entry) for entry in rep.counterexamples}
         assert not refuted & {json.dumps(entry) for entry in rep.uncertified}
         tallied = sum(rep.certificate_counts.values())
@@ -443,7 +442,6 @@ class TestScan:
         monkeypatch.setattr(cover_module, "decide", recording)
         # the three-slit family {1,2}, {2,3}
         masks = (0b011, 0b110)
-        assert not full_rank_mod_p(3, [masks])[0]
         bitset = np.array([sum(1 << (m - 1) for m in masks)], dtype=np.uint64)
         in_span, rank = ones_in_span(3, bitset)
         assert not in_span[0] and rank[0] == 2

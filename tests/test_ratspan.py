@@ -7,8 +7,8 @@ import pytest
 
 from qcover import HistorySpace, enumerate_inextendible
 from qcover import ratspan
-from qcover.antichain import _inextendible_bitsets, _members
-from qcover.ratspan import full_rank_mod_p, ones_in_span, span_solve
+from qcover.antichain import _inextendible_bitsets
+from qcover.ratspan import ones_in_span, span_solve
 
 
 def test_three_slit_family_misses_omega():
@@ -153,128 +153,77 @@ def test_agrees_with_sympy_rank_oracle():
                 assert a * sympy.Matrix(got) == aug[:, -1]
 
 
-def has_full_rank(n, member_masks):
-    """Whether the member indicators have rank n over Q.  Rank n over GF(2)
-    (an XOR basis) settles it, since an n x n minor odd mod 2 is nonzero;
-    otherwise the members are reduced as integer rows of n entries."""
-    basis = {}  # leading bit -> basis vector
-    for m in member_masks:
-        while m.bit_length() in basis:
-            m ^= basis[m.bit_length()]
-        if m:
-            basis[m.bit_length()] = m
-    if len(basis) == n:
-        return True
-    rows = [[(mask >> bit) & 1 for bit in range(n)] for mask in member_masks]
-    rank = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [pv * a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == n
-
-
-def test_filter_is_exact_on_every_inextendible_antichain(inextendible):
-    # no false "deficient" happens for n <= 6, so the filter passes
-    # exactly the full-rank antichains
-    passed = {}
-    for n in range(1, 7):
-        families = [ac.masks for ac in inextendible(n)]
-        got = full_rank_mod_p(n, families).tolist()
-        assert got == [has_full_rank(n, masks) for masks in families]
-        passed[n] = got.count(True)
-    assert passed == {1: 1, 2: 1, 3: 2, 4: 11, 5: 259, 6: 29_818}
-
-
-@pytest.mark.parametrize("chunk", [100, ratspan._CHUNK])
-def test_bitset_filter_equals_the_mask_filter(monkeypatch, chunk):
-    # the same verdicts from the Gram matmul on antichain bitsets, with
-    # chunk boundaries inside the batch
-    monkeypatch.setattr(ratspan, "_CHUNK", chunk)
-    for n in range(1, 7):
-        bitsets = _inextendible_bitsets(n)
-        families = _members(bitsets, range(64))
-        got = full_rank_mod_p(n, bitsets).tolist()
-        assert got == full_rank_mod_p(n, families).tolist()
-
-
-@pytest.mark.parametrize("chunk", [3, ratspan._CHUNK])
-def test_filter_true_means_full_rank_on_random_families(monkeypatch, chunk):
-    # ragged widths and repeated members, with chunk boundaries inside
-    # the batch; a repeated member only adds to the Gram counts
-    monkeypatch.setattr(ratspan, "_CHUNK", chunk)
-    rng = random.Random("ratspan:filter")
-    for n in range(1, 13):
-        families = [random_family(rng, n)[0] for _ in range(120)]
-        families += [[1 << i for i in range(n)] * 2, [(1 << n) - 1]]
-        got = full_rank_mod_p(n, families).tolist()
-        for members, passed in zip(families, got):
-            if passed:
-                assert has_full_rank(n, members), members
-        assert got[-2] and got[-1] == (n == 1)
-        assert True in got and (n == 1 or False in got)
-
-
-def test_filter_across_the_default_chunk_boundary():
-    # more families than one chunk holds, the widest in the second chunk
-    rng = random.Random("ratspan:chunks")
-    n = 7
-    families = [random_family(rng, n)[0] for _ in range(ratspan._CHUNK + 50)]
-    families[-1] = [1 << i for i in range(n)] * 4
-    got = full_rank_mod_p(n, families).tolist()
-    assert got == [has_full_rank(n, members) for members in families]
-    assert got[-1]
-
-
-def test_filter_on_an_empty_batch():
-    assert full_rank_mod_p(4, []).tolist() == []
+def dense_families(rng):
+    """n = 6 families of many events, the widest inputs of the exact
+    pass: all 63 events, random draws of 32 or more, and every event a
+    weight vector w sums to zero on, outside the span when w . 1 != 0."""
+    events = range(1, 64)
+    families = [list(events)]
+    families += [rng.sample(events, rng.randint(32, 63)) for _ in range(60)]
+    for _ in range(60):
+        w = [rng.randint(-2, 2) for _ in range(6)]
+        weight = [sum(w[i] for i in range(6) if m >> i & 1) for m in events]
+        families.append([m for m, x in zip(events, weight) if x == 0] or [63])
+    return families
 
 
 @pytest.mark.parametrize("chunk", [7, ratspan._CHUNK])
 def test_exact_stage_matches_span_solve_on_random_families(monkeypatch, chunk):
-    # distinct nonempty members, padded to different widths per chunk,
-    # with chunk boundaries inside the batch; the rank is the pivot count
-    # of the loop elimination on the member rows
+    # distinct nonempty members, with chunk boundaries inside the batch;
+    # the rank is the pivot count of the loop elimination on the member
+    # rows; at n = 6 dense families up to all 63 events follow, whose
+    # Gram minors are the largest int64 has to hold
     monkeypatch.setattr(ratspan, "_CHUNK", chunk)
     rng = random.Random("ratspan:exact")
-    outcomes = Counter()
+    outcomes, dense = Counter(), Counter()
     for n in range(1, 7):
         full = (1 << n) - 1
         families = [
             rng.sample(range(1, full + 1), rng.randint(1, min(n + 2, full)))
             for _ in range(120)
         ]
+        if n == 6:
+            families += dense_families(random.Random("ratspan:dense"))
         bitsets = np.array(
             [sum(1 << (m - 1) for m in members) for members in families],
             dtype=np.uint64,
         )
         in_span, rank = ones_in_span(n, bitsets)
-        for members, got, r in zip(families, in_span, rank, strict=True):
+        for i, (members, got, r) in enumerate(
+            zip(families, in_span, rank, strict=True)
+        ):
             assert got == (span_solve(n, members, full) is not None), members
             rows = [[m >> bit & 1 for bit in range(n)] for m in members]
             assert r == len(ratspan._eliminate(rows, n)), members
             union = 0
             for m in members:
                 union |= m
-            outcomes[bool(got), union == full] += 1
+            (outcomes if i < 120 else dense)[bool(got), union == full] += 1
     # about a third are non-covers, some with union Omega
     assert outcomes == {(True, True): 487, (False, False): 177,
                         (False, True): 56}
+    # the dense families reach all three outcomes too
+    assert dense == {(True, True): 71, (False, False): 23, (False, True): 27}
 
 
-def test_exact_stage_rank_split_at_n6():
-    # every antichain the filter leaves over at n = 6 is a cover, by rank
-    bitsets = _inextendible_bitsets(6)
-    in_span, rank = ones_in_span(6, bitsets[~full_rank_mod_p(6, bitsets)])
-    assert in_span.all()
-    assert Counter(rank.tolist()) == {1: 1, 2: 6, 3: 30, 4: 180, 5: 1_710}
+def test_exact_stage_rank_split_at_n6(inextendible):
+    # every inextendible antichain is a cover for n <= 6; the full-rank
+    # counts and the n = 6 split of the rest, each rank the pivot count
+    # of the loop elimination on the member rows
+    full_rank = {}
+    for n in range(1, 7):
+        in_span, rank = ones_in_span(n, _inextendible_bitsets(n))
+        assert in_span.all()
+        assert rank.tolist() == [
+            len(ratspan._eliminate([[m >> b & 1 for b in range(n)]
+                                    for m in ac.masks], n))
+            for ac in inextendible(n)
+        ]
+        full_rank[n] = int((rank == n).sum())
+    assert full_rank == {1: 1, 2: 1, 3: 2, 4: 11, 5: 259, 6: 29_818}
+    assert Counter(rank[rank < 6].tolist()) == {
+        1: 1, 2: 6, 3: 30, 4: 180, 5: 1_710
+    }
 
 
 def test_exact_stage_on_an_empty_batch():
