@@ -2,8 +2,8 @@
 
 Every subcommand prints one JSON envelope to stdout (or --out) holding
 the command, the effective configuration, a timestamp, and the report.
-Fixed seed and worker count give byte-identical reports apart from the
-timestamp and elapsed-time fields.
+A fixed seed gives byte-identical reports apart from the timestamp and
+elapsed-time fields.
 
 Exit codes: 0 success, 2 invalid input or resource limit, 3 the report
 lists a mathematical counterexample (only a scan's can), 4 an internal
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="number of random samples")
         if workers:
             sp.add_argument("--workers", type=int, default=1,
-                            help="parallel worker count")
+                            help="worker count, at least 1; the scan runs"
+                            " in one process")
         if dmatrix:
             sp.add_argument("--dmatrix", required=True,
                             help="path to a functional JSON file")
@@ -187,7 +188,9 @@ def _run_cover_check(args) -> dict:
 
 
 def _run_scan(args) -> dict:
-    return scan(HistorySpace(args.n), workers=args.workers).to_json()
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
+    return scan(HistorySpace(args.n)).to_json()
 
 
 def _run_coevents(args) -> dict:

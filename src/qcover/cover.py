@@ -20,9 +20,7 @@ the correctly rounded value of its exact fraction.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -232,15 +230,7 @@ class ScanReport(JsonRecord):
     elapsed_ms: float
 
 
-def _refute(args: tuple[int, list[int]]) -> None:
-    # decide builds and checks the witness of an antichain refuted in batch
-    n, masks = args
-    space = HistorySpace(n)
-    if decide(space, [Event(m, space) for m in masks]).is_cover:
-        raise ConsistencyError(f"decide finds refuted masks {masks} a cover")
-
-
-def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
+def scan(space: HistorySpace) -> ScanReport:
     """Decide every inextendible antichain of the space.
 
     Each antichain stays one int, the bitset of its members
@@ -248,28 +238,17 @@ def scan(space: HistorySpace, *, workers: int = 1) -> ScanReport:
     pass over all of them.  ``ratspan.ones_in_span`` decides every one in
     a single exact pass, a fraction-free elimination of each member Gram
     matrix in int64: at n = 6 all 31,745 are covers.  A refuted antichain
-    goes to ``decide``, which must agree and checks its witness, on
-    ``workers`` processes (none at n <= 6).  Certificate kinds come from
-    level unions, and the antichains listed are unpacked last, in the
-    walk's canonical order, so the report is the same for any worker
-    count.
+    goes to ``decide``, which must agree and checks its witness (none is
+    refuted at n <= 6).  Certificate kinds come from level unions, and the
+    antichains listed are unpacked last, in the walk's canonical order.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     t0 = time.perf_counter()
     n = space.n
     bitsets = _inextendible_bitsets(n)
     is_cover = ones_in_span(n, bitsets)[0]
-    payload = [(n, m) for m in _members(bitsets[~is_cover], range(64))]
-    if workers == 1 or len(payload) < 4:
-        list(map(_refute, payload))
-    else:
-        # the pool forks every worker up front, so never ask for more
-        # processes than there are CPUs or items
-        procs = min(workers, os.cpu_count() or 1, len(payload))
-        chunk = max(1, len(payload) // (4 * procs))
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            list(pool.map(_refute, payload, chunksize=chunk))
+    for masks in _members(bitsets[~is_cover], range(64)):
+        if decide(space, [Event(m, space) for m in masks]).is_cover:
+            raise ConsistencyError(f"decide finds refuted masks {masks} a cover")
     code = _bitset_certificates(n, bitsets)
     # a certificate claims a cover, so a non-cover gets none
     code[~is_cover] = -1

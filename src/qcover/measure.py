@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +49,11 @@ class DecoherenceFunctional:
 
     Construction rejects matrices whose Hermiticity residual exceeds
     ``TOL_ZERO`` times the largest entry magnitude, unless
-    ``hermitize=True`` asks for symmetrisation ``(D + D^H) / 2``.
+    ``hermitize=True`` asks for symmetrisation ``(D + D^H) / 2``.  Entries
+    must be finite and at most ``sys.float_info.max / (2^(n+2) n^2)`` in
+    magnitude: a measure sums at most n^2 entries, and an interference or
+    level sum at most 2^n measures, so the Hermitian average, every
+    measure table and the sums of ``validate`` stay finite.
     """
 
     __slots__ = ("_entries", "_space", "_scale")
@@ -61,8 +66,15 @@ class DecoherenceFunctional:
         space = HistorySpace(n)  # also enforces 1 <= n <= 24
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("matrix entries must be finite")
+        scale = float(np.abs(arr).max())
+        bound = sys.float_info.max / (n * n << (n + 2))
+        if scale > bound:
+            raise ValueError(
+                f"matrix entries must not exceed {bound:.3e} in magnitude"
+                f" at n = {n}"
+            )
         residual = float(np.abs(arr - arr.conj().T).max())
-        if residual > TOL_ZERO * float(np.abs(arr).max()) and not hermitize:
+        if residual > TOL_ZERO * scale and not hermitize:
             raise ValueError(
                 f"matrix is not Hermitian: residual {residual:.3e} exceeds"
                 f" tolerance (pass hermitize=True to symmetrise)"
@@ -123,13 +135,13 @@ class DecoherenceFunctional:
         rows = data["entries"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("entries shape does not match n")
-        if any(len(cell) != 2 for row in rows for cell in row):
+        cells = list(chain.from_iterable(rows))
+        if set(map(len, cells)) != {2}:
             raise ValueError("each entry must be a [re, im] pair")
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=np.complex128,
-        )
-        return cls(arr, hermitize=hermitize)
+        if bool in set(map(type, chain.from_iterable(cells))):
+            raise ValueError("entries must be numbers, not booleans")
+        arr = np.array([complex(re, im) for re, im in cells], dtype=np.complex128)
+        return cls(arr.reshape(n, n), hermitize=hermitize)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecoherenceFunctional(n={self.n})"

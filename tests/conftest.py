@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qcover import DecoherenceFunctional, HistorySpace, enumerate_inextendible
+from qcover.ratspan import _eliminate
 
 
 @pytest.fixture
@@ -29,6 +30,31 @@ def inextendible():
     return lru_cache(maxsize=None)(
         lambda n: tuple(enumerate_inextendible(HistorySpace(n)))
     )
+
+
+@pytest.fixture(scope="session")
+def eliminated(inextendible):
+    """n -> (ranks, in_span) of the loop elimination, one entry per
+    inextendible antichain of HistorySpace(n), in enumeration order.
+
+    Each antichain's member columns plus the ones column are eliminated
+    once, as ``span_solve`` does: the rank is the pivot count, and the
+    ones vector is in the span when no row past the pivots has a nonzero
+    ones entry.
+    """
+
+    def run(n):
+        ranks, in_span = [], []
+        for ac in inextendible(n):
+            m = len(ac.masks)
+            rows = [[mask >> b & 1 for mask in ac.masks] + [1]
+                    for b in range(n)]
+            rank = len(_eliminate(rows, m))
+            ranks.append(rank)
+            in_span.append(not any(row[m] for row in rows[rank:]))
+        return ranks, in_span
+
+    return lru_cache(maxsize=None)(run)
 
 
 @pytest.fixture

@@ -74,6 +74,17 @@ class TestEnvelope:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_imports_no_process_pool(self):
+        # the scan runs in one process, so no request pays for the import
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, qcover.cli; print(sorted(m for m in sys.modules"
+                " if m.startswith(('concurrent', 'multiprocessing'))))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        ).stdout
+        assert out == "[]\n"
+
 
 class TestSubcommands:
     def test_validate(self, capsys, d3_path):
@@ -230,6 +241,44 @@ class TestExitCodes:
                      ["validate", "--dmatrix", str(functional)]):
             assert main(argv) == 2, argv
             assert "[re, im] pair" in capsys.readouterr().err
+
+    def test_boolean_entries_refused(self, capsys, tmp_path):
+        # JSON true and false are not the numbers 1 and 0
+        functional = tmp_path / "d.json"
+        functional.write_text(json.dumps({"n": 1, "entries": [[[True, False]]]}))
+        for argv in (["coevents", "--dmatrix", str(functional)],
+                     ["validate", "--dmatrix", str(functional)]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "not booleans" in err
+
+    def test_entries_that_would_overflow(self, capsys, tmp_path):
+        # at n = 2 entries may reach float max / 64, and every report on
+        # them is JSON; at 1e308 the Hermitian average would overflow, and
+        # validate would write NaN
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"{name} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        functional = tmp_path / "d.json"
+        for entry, want in ((sys.float_info.max / 64, 0), (1e308, 2)):
+            functional.write_text(json.dumps(
+                {"n": 2, "entries": [[[entry, 0.0]] * 2] * 2}))
+            for argv in (["validate", "--k", "2"], ["measure", "--k", "2"],
+                         ["coevents"], ["coevents", "--exact"]):
+                code = main([*argv, "--dmatrix", str(functional)])
+                out, err = capsys.readouterr()
+                assert code == want, (entry, argv, err)
+                if want:
+                    assert out == "" and "must not exceed" in err
+                else:
+                    assert strict(out)["report"]
+
+    def test_scan_workers_must_be_positive(self, capsys):
+        assert main(["scan", "--n", "3", "--workers", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "workers must be positive" in err
 
     def test_sample_cap(self, capsys):
         # refused before anything is drawn

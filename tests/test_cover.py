@@ -1,7 +1,5 @@
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +24,7 @@ from qcover import (
 )
 from qcover import cover as cover_module
 from qcover.antichain import _inextendible_bitsets, _members
-from qcover.ratspan import _eliminate, ones_in_span, span_solve
+from qcover.ratspan import ones_in_span, span_solve
 
 
 def reference_levels(ac):
@@ -247,78 +245,14 @@ class TestScan:
             "full_level": 4, "pivot_bound": 24,
         }
 
-    def test_worker_count_is_invisible(self):
-        a = scan(HistorySpace(4), workers=1).to_json()
-        b = scan(HistorySpace(4), workers=3).to_json()
-        a.pop("elapsed_ms")
-        b.pop("elapsed_ms")
-        assert a == b
-
-    # the pool gets only the antichains the exact pass refutes, here made
-    # to be every one of rank below n: 17 at n = 4, 4 at n = 3
-    @pytest.mark.parametrize(
-        "n, cpus, expected", [(4, 8, 8), (4, None, 1), (3, 64, 4)]
-    )
-    def test_pool_capped_by_cpus_and_items(self, monkeypatch, n, cpus, expected):
+    def test_refuted_antichains_go_to_decide(self, monkeypatch):
+        # at n <= 6 the exact pass refutes nothing, so here it refutes all
+        # 17 of rank below 4 at n = 4; decide finds every one a cover, and
+        # the error names the antichain that came first
         refute_every_deficient_antichain(monkeypatch)
-        # decide, which would find each a cover, is not what is tested here
-        monkeypatch.setattr(cover_module, "_refute", lambda args: None)
-        # a stand-in pool that runs in process and starts no workers
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(cover_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cover_module.os, "cpu_count", lambda: cpus)
-        pooled = scan(HistorySpace(n), workers=64).to_json()
-        assert requested == [expected]
-        serial = scan(HistorySpace(n), workers=1).to_json()
-        pooled.pop("elapsed_ms")
-        serial.pop("elapsed_ms")
-        assert pooled == serial
-
-    def test_process_pool_gives_the_serial_outcome(self, monkeypatch):
-        # at n <= 6 the exact pass refutes nothing and no process starts,
-        # so here it refutes all 17 of rank below 4 at n = 4; a real
-        # pool of two workers runs decide on them, as the serial run does
-        refute_every_deficient_antichain(monkeypatch)
-        started = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cover_module, "ProcessPoolExecutor", RecordingPool)
-
-        def outcome(workers):
-            try:
-                report = scan(HistorySpace(4), workers=workers).to_json()
-            except ConsistencyError as exc:
-                return "ConsistencyError", str(exc)
-            report.pop("elapsed_ms")
-            return "report", report
-
-        serial = outcome(1)
-        assert started == []
-        pooled = outcome(2)
-        assert started == [min(2, os.cpu_count() or 1)]
-        assert pooled == serial
-        # decide finds every one a cover, and says which antichain came first
-        assert serial == (
-            "ConsistencyError", "decide finds refuted masks [1, 2, 12] a cover"
-        )
+        with pytest.raises(ConsistencyError) as exc:
+            scan(HistorySpace(4))
+        assert str(exc.value) == "decide finds refuted masks [1, 2, 12] a cover"
 
     def test_json_keys(self):
         data = scan(HistorySpace(3)).to_json()
@@ -339,23 +273,18 @@ class TestScan:
         )
         assert data["certificate_counts"] is rep.certificate_counts
 
-    def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            scan(HistorySpace(3), workers=0)
-
-    def test_rank_first_verdicts_are_exact(self, inextendible):
+    def test_rank_first_verdicts_are_exact(self, inextendible, eliminated):
         # rank n means the members span Q^n; every verdict of the Gram
         # pass must match the Bareiss decision on the same masks
         deficient = {}
         for n in range(1, 7):
-            full = (1 << n) - 1
             acs = inextendible(n)
             exact, rank = ones_in_span(n, _inextendible_bitsets(n))
             deficient[n] = int((rank < n).sum())
-            for ac, r, in_exact_span in zip(
-                acs, rank.tolist(), exact.tolist(), strict=True
+            for ac, r, in_exact_span, in_span in zip(
+                acs, rank.tolist(), exact.tolist(), eliminated(n)[1],
+                strict=True,
             ):
-                in_span = span_solve(n, ac.masks, full) is not None
                 if r == n:
                     assert in_span, ac.masks
                 assert in_exact_span == in_span, ac.masks
@@ -411,18 +340,21 @@ class TestScan:
                 assert names[code] == want
 
     def test_a_non_cover_is_listed_once_and_not_tallied(
-        self, monkeypatch, inextendible
+        self, monkeypatch, inextendible, eliminated
     ):
         # every inextendible antichain is a cover for n <= 6, so the exact
         # pass is made to refute each one of rank below n, and decide,
         # which would disagree, to accept the refutation
         refute_every_deficient_antichain(monkeypatch)
-        monkeypatch.setattr(cover_module, "_refute", lambda args: None)
+        monkeypatch.setattr(
+            cover_module, "decide",
+            lambda space, events: cover_module.CoverVerdict(
+                False, True, tuple(events)
+            ),
+        )
         rep = scan(HistorySpace(5))
         acs = inextendible(5)
-        rows = [[[m >> b & 1 for b in range(5)] for m in ac.masks]
-                for ac in acs]
-        rank = [len(_eliminate(r, 5)) for r in rows]
+        rank = eliminated(5)[0]
         assert list(rep.counterexamples) == [
             ac.to_json() for ac, r in zip(acs, rank) if r < 5
         ]
@@ -440,12 +372,21 @@ class TestScan:
             return verdicts[-1]
 
         monkeypatch.setattr(cover_module, "decide", recording)
-        # the three-slit family {1,2}, {2,3}
-        masks = (0b011, 0b110)
+        # a walk that yields the one non-cover {1}, {2,3}, {3,4} at n = 4,
+        # an antichain but not an inextendible one
+        masks = [0b0001, 0b0110, 0b1100]
         bitset = np.array([sum(1 << (m - 1) for m in masks)], dtype=np.uint64)
-        in_span, rank = ones_in_span(3, bitset)
-        assert not in_span[0] and rank[0] == 2
-        assert cover_module._refute((3, masks)) is None
+        monkeypatch.setattr(
+            cover_module, "_inextendible_bitsets", lambda n: bitset
+        )
+        in_span, rank = ones_in_span(4, bitset)
+        assert not in_span[0] and rank[0] == 3
+        rep = scan(HistorySpace(4))
+        assert rep.total == 1 and rep.covers == 0
+        assert rep.counterexamples == (
+            {"n": 4, "elements": [[1], [2, 3], [3, 4]]},
+        )
+        assert rep.uncertified == () and rep.certificate_counts == {}
         (verdict,) = verdicts
         assert not verdict.is_cover and verdict.union_is_omega
         assert verdict.witness is not None

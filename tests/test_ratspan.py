@@ -206,19 +206,15 @@ def test_exact_stage_matches_span_solve_on_random_families(monkeypatch, chunk):
     assert dense == {(True, True): 71, (False, False): 23, (False, True): 27}
 
 
-def test_exact_stage_rank_split_at_n6(inextendible):
+def test_exact_stage_rank_split_at_n6(eliminated):
     # every inextendible antichain is a cover for n <= 6; the full-rank
     # counts and the n = 6 split of the rest, each rank the pivot count
-    # of the loop elimination on the member rows
+    # of the loop elimination on the member columns
     full_rank = {}
     for n in range(1, 7):
         in_span, rank = ones_in_span(n, _inextendible_bitsets(n))
         assert in_span.all()
-        assert rank.tolist() == [
-            len(ratspan._eliminate([[m >> b & 1 for b in range(n)]
-                                    for m in ac.masks], n))
-            for ac in inextendible(n)
-        ]
+        assert rank.tolist() == eliminated(n)[0]
         full_rank[n] = int((rank == n).sum())
     assert full_rank == {1: 1, 2: 1, 3: 2, 4: 11, 5: 259, 6: 29_818}
     assert Counter(rank[rank < 6].tolist()) == {
